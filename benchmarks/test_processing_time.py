@@ -292,12 +292,10 @@ def test_end_to_end_processing_time(monkeypatch):
     fast_bytes = write_binary(result_fast.binary)
 
     # Put every pre-PR kernel back (at its call site) and measure again.
-    import repro.core.passes.base as base
     import repro.core.passes.reorder_bbs as reorder_bbs
     import repro.core.passes.reorder_functions as reorder_functions
     from repro.core._reference_kernels import order_blocks_reference
 
-    monkeypatch.setattr(base, "snapshot_function", snapshot_function_deepcopy)
     monkeypatch.setattr(reorder_functions, "hfsort", hfsort_reference)
     monkeypatch.setattr(reorder_functions, "hfsort_plus",
                         hfsort_plus_reference)

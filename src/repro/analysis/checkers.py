@@ -16,6 +16,8 @@ removed stores, SCTC's conditional tail calls), cross-checking the
 facts against what the IR actually contains.
 """
 
+from functools import partial
+
 from repro.analysis.absint import (
     BOTTOM,
     TOP,
@@ -43,11 +45,16 @@ def check_function(func):
     """Run every IR checker; returns a list of Findings."""
     if not func.is_simple or not func.blocks:
         return []
+    # Each instruction's register defs, computed once and shared by the
+    # dataflow checkers (BL001-BL003).
+    defs = {label: [insn_uses_defs(insn)[1] for insn in block.insns]
+            for label, block in func.blocks.items()}
     findings = []
     for checker in (_check_structure, _check_unreachable,
                     _check_fallthrough, _check_jump_tables,
-                    _check_stack_height, _check_callee_saved,
-                    _check_flags, _check_pass_facts):
+                    partial(_check_stack_height, defs=defs),
+                    partial(_check_callee_saved, defs=defs),
+                    partial(_check_flags, defs=defs), _check_pass_facts):
         try:
             findings.extend(checker(func))
         except AnalysisError:
@@ -227,12 +234,13 @@ def _is_tail_call(insn):
     return False
 
 
-def _stack_step(insn, state, sink=None, func=None, block=None):
+def _stack_step(insn, defs, state, sink=None, func=None, block=None):
     """Abstractly execute one instruction over (height, saved rbp height).
 
     ``height`` is bytes pushed since function entry (concrete int or
-    TOP); ``rbp_height`` is the height captured by ``mov rbp, rsp``.
-    When ``sink`` is given, definite violations are appended to it.
+    TOP); ``rbp_height`` is the height captured by ``mov rbp, rsp``;
+    ``defs`` are the instruction's register defs.  When ``sink`` is
+    given, definite violations are appended to it.
     """
     h, rbp_h = state
     op = insn.op
@@ -279,7 +287,6 @@ def _stack_step(insn, state, sink=None, func=None, block=None):
     if insn.is_call:
         return h, rbp_h                         # balanced by convention
 
-    _, defs = insn_uses_defs(insn)
     if RSP in defs:
         h = TOP
     if RBP in defs:
@@ -287,12 +294,12 @@ def _stack_step(insn, state, sink=None, func=None, block=None):
     return h, rbp_h
 
 
-def _check_stack_height(func):
+def _check_stack_height(func, defs):
     lattice = TupleLattice(FlatLattice(), FlatLattice())
 
     def transfer(block, state):
         edge_states = {}
-        for insn in block.insns:
+        for insn, insn_defs in zip(block.insns, defs[block.label]):
             if insn.is_call and block.landing_pads:
                 lp = insn.get_annotation("lp")
                 targets = [lp] if lp is not None else block.landing_pads
@@ -300,7 +307,7 @@ def _check_stack_height(func):
                 for target in targets:
                     prev = edge_states.get(target, lattice.bottom())
                     edge_states[target] = lattice.join(prev, state)
-            state = _stack_step(insn, state)
+            state = _stack_step(insn, insn_defs, state)
         return BlockResult(state, edge_states)
 
     # A cold fragment is entered mid-frame: its height is unknown.
@@ -314,9 +321,9 @@ def _check_stack_height(func):
         state = in_states.get(label, bottom)
         if state == bottom:
             continue  # unreachable: BL004's business
-        for insn in block.insns:
-            state = _stack_step(insn, state, sink=findings, func=func,
-                                block=block)
+        for insn, insn_defs in zip(block.insns, defs[label]):
+            state = _stack_step(insn, insn_defs, state, sink=findings,
+                                func=func, block=block)
     return findings
 
 
@@ -326,28 +333,38 @@ def _check_stack_height(func):
 
 _ORIG, _DIRTY = "orig", "dirty"
 _EMPTY, _SAVED = "empty", "saved"
+_MEM_STORES = frozenset({Op.STORE, Op.STOREIDX, Op.STORE_ABS})
 
 
-def _saved_reg_step(insn, state, reg, offset):
-    """(register state, save-slot state) across one instruction."""
-    r, s = state
+def _saved_regs_step(insn, defs, state, saved):
+    """Step every (register state, save-slot state) pair across one
+    instruction, in place.
+
+    ``state`` is ``[r0, s0, r1, s1, ...]`` in ``saved`` order; each
+    pair moves exactly as it would if it were tracked alone.
+    """
     op = insn.op
-    if op == Op.STORE and insn.regs == (RBP, reg) and insn.disp == -offset:
-        return r, (_SAVED if r == _ORIG else TOP)
-    if op == Op.LOAD and insn.regs == (reg, RBP) and insn.disp == -offset:
-        return (_ORIG if s == _SAVED else TOP), s
-    if op == Op.STORE and insn.regs[0] == RBP and insn.disp == -offset:
-        return r, TOP                       # another register overwrote it
-    if op in (Op.STORE, Op.STOREIDX, Op.STORE_ABS) \
-            and not (op == Op.STORE and insn.regs[0] == RBP):
-        return r, TOP                       # untracked memory write
-    _, defs = insn_uses_defs(insn)
-    if reg in defs:
-        return _DIRTY, s
-    return r, s
+    if op == Op.STORE and insn.regs[0] == RBP:
+        for i, (reg, offset) in enumerate(saved):
+            if insn.disp == -offset:
+                if insn.regs[1] == reg:         # the save itself
+                    state[2 * i + 1] = (_SAVED if state[2 * i] == _ORIG
+                                        else TOP)
+                else:                           # another register overwrote it
+                    state[2 * i + 1] = TOP
+    elif op in _MEM_STORES:
+        for i in range(1, len(state), 2):
+            state[i] = TOP                      # untracked memory write
+    else:
+        for i, (reg, offset) in enumerate(saved):
+            if op == Op.LOAD and insn.regs == (reg, RBP) \
+                    and insn.disp == -offset:   # the restore
+                state[2 * i] = _ORIG if state[2 * i + 1] == _SAVED else TOP
+            elif reg in defs:
+                state[2 * i] = _DIRTY
 
 
-def _check_callee_saved(func):
+def _check_callee_saved(func, defs):
     from repro.core.dataflow import stack_slot_accesses
 
     record = func.frame_record
@@ -360,11 +377,13 @@ def _check_callee_saved(func):
     if escapes:
         return []  # rbp escapes: slot tracking would be unsound
 
-    findings = []
-    facts = func.analysis_facts.get("shrink-wrap", {})
     from repro.isa.registers import reg_name
 
-    for reg, offset in record.saved_regs:
+    saved = record.saved_regs
+    # Findings per saved register, reported in ``saved`` order.
+    per_reg = [[] for _ in saved]
+    facts = func.analysis_facts.get("shrink-wrap", {})
+    for found, (reg, offset) in zip(per_reg, saved):
         # Cross-check the shrink-wrapping fact: if the pass claims the
         # save moved into a block, the store must actually be there.
         moved_to = facts.get(reg)
@@ -374,39 +393,54 @@ def _check_callee_saved(func):
                 insn.op == Op.STORE and insn.regs == (RBP, reg)
                 and insn.disp == -offset for insn in home.insns)
             if not present:
-                findings.append(Finding(
+                found.append(Finding(
                     "BL002",
                     f"shrink-wrapping recorded %{reg_name(reg)}'s save "
                     f"moved to {moved_to}, but no save store is there",
                     function=func.name, block=moved_to))
 
-        lattice = TupleLattice(FlatLattice(), FlatLattice())
+    # One fixpoint for all saved registers: the pairs never interact,
+    # so each projection is that register's own solution.
+    lattice = TupleLattice(*[FlatLattice()] * (2 * len(saved)))
+    tracked = {reg for reg, _ in saved}
+    touching = {
+        label: [(insn, insn_defs)
+                for insn, insn_defs in zip(block.insns, defs[label])
+                if insn.op in _MEM_STORES or not tracked.isdisjoint(insn_defs)]
+        for label, block in func.blocks.items()}
 
-        def transfer(block, state, reg=reg, offset=offset):
-            for insn in block.insns:
-                state = _saved_reg_step(insn, state, reg, offset)
-            return state
+    def transfer(block, state):
+        state = list(state)
+        for insn, insn_defs in touching[block.label]:
+            _saved_regs_step(insn, insn_defs, state, saved)
+        return tuple(state)
 
-        in_states, _ = solve(func, lattice, transfer,
-                             boundary=(_ORIG, _EMPTY))
-        bottom = lattice.bottom()
-        for label, block in func.blocks.items():
-            state = in_states.get(label, bottom)
-            if state == bottom:
-                continue
-            for insn in block.insns:
-                if (insn.is_return or _is_tail_call(insn)) \
-                        and state[0] == _DIRTY:
-                    findings.append(Finding(
+    in_states, _ = solve(func, lattice, transfer,
+                         boundary=(_ORIG, _EMPTY) * len(saved))
+
+    bottom = lattice.bottom()
+    for label, block in func.blocks.items():
+        state = in_states.get(label, bottom)
+        if state == bottom:
+            continue
+        state = list(state)
+        pending = list(range(len(saved)))   # not yet reported in this block
+        for insn, insn_defs in zip(block.insns, defs[label]):
+            if insn.is_return or _is_tail_call(insn):
+                for i in [i for i in pending if state[2 * i] == _DIRTY]:
+                    reg, offset = saved[i]
+                    per_reg[i].append(Finding(
                         "BL002",
                         f"exits with callee-saved %{reg_name(reg)} "
                         f"clobbered and not restored from its save slot "
                         f"(rbp{-offset:+#x})",
                         function=func.name, block=label,
                         address=insn.address))
+                    pending.remove(i)
+                if not pending:
                     break
-                state = _saved_reg_step(insn, state, reg, offset)
-    return findings
+            _saved_regs_step(insn, insn_defs, state, saved)
+    return [finding for found in per_reg for finding in found]
 
 
 # ---------------------------------------------------------------------------
@@ -418,24 +452,23 @@ _FLAG_USES = frozenset({Op.JCC_SHORT, Op.JCC_LONG, Op.SETCC})
 _UNDEF, _DEF = "undef", "def"
 
 
-def _flags_step(insn, state):
+def _flags_step(insn, defs, state):
     if insn.op in _FLAG_DEFS:
         return _DEF
     if insn.is_call:
         return _UNDEF  # calls clobber flags (ABI)
-    _, defs = insn_uses_defs(insn)
     if FLAGS in defs:
         return _DEF
     return state
 
 
-def _check_flags(func):
+def _check_flags(func, defs):
     lattice = FlatLattice()
 
     def transfer(block, state):
         edge_states = {}
-        for insn in block.insns:
-            state = _flags_step(insn, state)
+        for insn, insn_defs in zip(block.insns, defs[block.label]):
+            state = _flags_step(insn, insn_defs, state)
             if insn.is_call and block.landing_pads:
                 lp = insn.get_annotation("lp")
                 for target in ([lp] if lp is not None
@@ -454,7 +487,7 @@ def _check_flags(func):
         state = in_states.get(label, BOTTOM)
         if state is BOTTOM:
             continue
-        for insn in block.insns:
+        for insn, insn_defs in zip(block.insns, defs[label]):
             if insn.op in _FLAG_USES and state == _UNDEF:
                 findings.append(Finding(
                     "BL003",
@@ -463,5 +496,5 @@ def _check_flags(func):
                     function=func.name, block=label,
                     address=insn.address))
                 break  # one report per block is plenty
-            state = _flags_step(insn, state)
+            state = _flags_step(insn, insn_defs, state)
     return findings

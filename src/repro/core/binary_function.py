@@ -180,8 +180,8 @@ class BinaryFunction:
         self.simple_violation = reason
 
     def clone(self):
-        """Deep copy of the mutable CFG state — the pass-containment
-        snapshot (much faster than generic ``copy.deepcopy``).
+        """Deep copy of the mutable CFG state (much faster than generic
+        ``copy.deepcopy``).
 
         Blocks, instructions, jump tables, the frame record, and the
         analysis facts are copied; immutable payloads (``raw_bytes``,

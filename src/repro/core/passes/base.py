@@ -1,19 +1,18 @@
 """Pass framework + the Table 1 pipeline order.
 
 Error containment (paper section 3.1 spirit): a pass crashing on one
-function must never take down the whole rewrite.  ``BinaryPass.run``
-snapshots each function's CFG before transforming it; if the pass
-raises, the snapshot is restored and the function is demoted to
-non-simple — original bytes emitted verbatim, exactly like functions
-BOLT conservatively skips at CFG-construction time — and a structured
-diagnostic is recorded.  Whole-context passes (ICF, inlining, function
-reordering) are contained at pass granularity instead.
+function must never take down the whole rewrite.  If a per-function
+pass raises, the function is demoted to non-simple — original bytes
+emitted verbatim, exactly like functions BOLT conservatively skips at
+CFG-construction time — and a structured diagnostic is recorded.
+Whole-context passes (ICF, inlining, function reordering) are
+contained at pass granularity instead.
 
-Snapshots are taken with :meth:`BinaryFunction.clone` — a hand-rolled
-deep copy of exactly the mutable CFG state — rather than generic
-``copy.deepcopy``, which dominated rewrite wall time (the pre-PR
-snapshot is preserved in :mod:`repro.core._reference_kernels` for the
-processing-time benchmarks).
+No snapshot is taken before a pass runs: whatever a failing pass left
+half-done, :func:`~repro.core.cfg_builder.demote_to_raw` discards.  It
+rebuilds the blocks from ``raw_bytes`` and resets every other field a
+per-function pass may write (entry label, jump tables, frame record,
+analysis facts, the cold-fragment and simple flags).
 
 With ``BoltOptions.threads > 1`` per-function passes fan their
 function loop out over a chunked thread-pool work queue.  Workers only
@@ -29,17 +28,6 @@ corrupted without raising.
 """
 
 import time
-
-
-def snapshot_function(func):
-    """A restorable deep snapshot of a function's mutable CFG state."""
-    return func.clone()
-
-
-def restore_function(func, snapshot):
-    """Restore a function to a previously-taken snapshot, in place."""
-    func.__dict__.update(snapshot.clone().__dict__)
-    return func
 
 
 def contain_function_failure(context, func, component, exc):
@@ -79,7 +67,7 @@ class BinaryPass:
         if not funcs:
             return stats
         self.prepare(context)
-        threads = int(getattr(context.options, "threads", 1) or 1)
+        threads = int(context.options.threads or 1)
         if threads > 1 and self.parallel_safe and len(funcs) > 1:
             outcomes = self._attempt_parallel(context, funcs, threads)
         else:
@@ -98,12 +86,10 @@ class BinaryPass:
         return stats
 
     def _attempt(self, context, func):
-        """Run on one function with snapshot/restore containment."""
-        snapshot = snapshot_function(func)
+        """Run on one function; returns (stats, None) or (None, exc)."""
         try:
             return self.run_on_function(context, func), None
         except Exception as exc:
-            restore_function(func, snapshot)
             return None, exc
 
     def _attempt_parallel(self, context, funcs, threads):
@@ -133,11 +119,11 @@ class PassManager:
         self.stats = {}
 
     def run(self, context):
-        verify = getattr(context.options, "verify_cfg", False)
+        verify = context.options.verify_cfg
         timing = getattr(context, "timing", None)
         time_passes = timing is not None and timing.time_passes
         dyno_prev = None
-        if time_passes and getattr(context.options, "dyno_stats", False):
+        if time_passes and context.options.dyno_stats:
             from repro.core.dyno_stats import compute_dyno_stats
             dyno_prev = compute_dyno_stats(context)
         for pass_ in self.passes:

@@ -224,7 +224,7 @@ def _optimize_once(binary, profile, options):
     manager = build_pipeline(options)
     with _phase(timing, "optimization passes"):
         pass_stats = manager.run(context)
-    if getattr(options, "lint", "none") not in (None, "none", False):
+    if options.lint not in (None, "none", False):
         with _phase(timing, "lint gate"):
             _lint_gate(context)
     with _phase(timing, "dyno-stats (output)"):
@@ -252,7 +252,7 @@ def _lint_gate(context):
     from repro.core.cfg_builder import demote_to_raw
 
     by_function = lint_context(
-        context, suppress=getattr(context.options, "lint_suppress", ()))
+        context, suppress=context.options.lint_suppress)
     for name, findings in by_function.items():
         errors = [f for f in findings if f.severity >= Severity.ERROR]
         for finding in findings:
@@ -307,7 +307,7 @@ def _input_lint_problems(binary, options):
     from repro.analysis import lint_binary
 
     report = lint_binary(binary, options=options,
-                         suppress=getattr(options, "lint_suppress", ()))
+                         suppress=options.lint_suppress)
     return [_render_finding(f) for f in report.errors]
 
 
@@ -320,7 +320,7 @@ def _static_problems(binary, result, options):
     """
     from repro.analysis import lint_binary, validate_translation
 
-    suppress = getattr(options, "lint_suppress", ())
+    suppress = options.lint_suppress
     render = _render_finding
 
     problems = [f"output fails static lint: {render(f)}"

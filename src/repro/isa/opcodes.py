@@ -211,12 +211,18 @@ _ATOM_SIZES = {
 }
 
 
+#: Encoded size per opcode: the opcode byte (plus the 0x0F prefix for
+#: JCC_LONG) and its operand atoms.
+_FORMAT_SIZES = {
+    op: (2 if op == Op.JCC_LONG else 1)
+    + sum(_ATOM_SIZES[atom] for atom in atoms)
+    for op, atoms in OPERAND_FORMATS.items()
+}
+
+
 def format_size(op):
     """Fixed byte size of an opcode's encoding (NOPN is variable)."""
-    base = 1
-    if op == Op.JCC_LONG:
-        base = 2  # 0x0F prefix + opcode byte
-    return base + sum(_ATOM_SIZES[atom] for atom in OPERAND_FORMATS[op])
+    return _FORMAT_SIZES[op]
 
 
 #: Opcodes that read memory (for the D-cache model).

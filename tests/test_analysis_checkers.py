@@ -3,8 +3,18 @@ CFG and stays silent on clean ones (including compiler output and
 split-function cold fragments)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.analysis import check_function
+from repro.analysis import (
+    TOP,
+    AnalysisError,
+    FlatLattice,
+    TupleLattice,
+    check_function,
+    solve,
+)
+from repro.analysis.checkers import _is_tail_call
+from repro.analysis.rules import Finding
 from repro.belf.frameinfo import FrameRecord
 from repro.compiler import build_executable
 from repro.core import BinaryContext, BoltOptions
@@ -14,9 +24,13 @@ from repro.core.binary_function import (
     JumpTable,
 )
 from repro.core.cfg_builder import build_all_functions
+from repro.core.dataflow import insn_uses_defs, stack_slot_accesses
 from repro.core.discovery import discover_functions
 from repro.core.validate import ValidationError, validate_function
-from repro.isa import Instruction, Op, SymRef, RAX, RBP, RBX
+from repro.isa import (
+    R12, R13, RAX, RBP, RBX, RCX, RDX, Instruction, Op, SymRef,
+)
+from repro.isa.registers import reg_name
 
 pytestmark = pytest.mark.analysis
 
@@ -139,6 +153,138 @@ def test_bl002_skipped_for_cold_fragments():
         Instruction(Op.RET),
     ]))
     assert check_function(func) == []
+
+
+# -- BL002 equivalence: one joint fixpoint == one fixpoint per register ----
+
+
+def _reference_saved_reg_step(insn, state, reg, offset):
+    r, s = state
+    op = insn.op
+    if op == Op.STORE and insn.regs == (RBP, reg) and insn.disp == -offset:
+        return r, ("saved" if r == "orig" else TOP)
+    if op == Op.LOAD and insn.regs == (reg, RBP) and insn.disp == -offset:
+        return ("orig" if s == "saved" else TOP), s
+    if op == Op.STORE and insn.regs[0] == RBP and insn.disp == -offset:
+        return r, TOP
+    if op in (Op.STORE, Op.STOREIDX, Op.STORE_ABS) \
+            and not (op == Op.STORE and insn.regs[0] == RBP):
+        return r, TOP
+    _, defs = insn_uses_defs(insn)
+    if reg in defs:
+        return "dirty", s
+    return r, s
+
+
+def _reference_callee_saved(func):
+    """BL002 solved one saved register at a time (the checker's
+    original formulation), as rendered finding dicts."""
+    record = func.frame_record
+    if record is None or not record.saved_regs:
+        return []
+    _, _, escapes = stack_slot_accesses(func)
+    if escapes:
+        return []
+    findings = []
+    facts = func.analysis_facts.get("shrink-wrap", {})
+    for reg, offset in record.saved_regs:
+        moved_to = facts.get(reg)
+        if moved_to is not None:
+            home = func.blocks.get(moved_to)
+            if home is None or not any(
+                    insn.op == Op.STORE and insn.regs == (RBP, reg)
+                    and insn.disp == -offset for insn in home.insns):
+                findings.append(Finding(
+                    "BL002",
+                    f"shrink-wrapping recorded %{reg_name(reg)}'s save "
+                    f"moved to {moved_to}, but no save store is there",
+                    function=func.name, block=moved_to))
+        lattice = TupleLattice(FlatLattice(), FlatLattice())
+
+        def transfer(block, state, reg=reg, offset=offset):
+            for insn in block.insns:
+                state = _reference_saved_reg_step(insn, state, reg, offset)
+            return state
+
+        try:
+            in_states, _ = solve(func, lattice, transfer,
+                                 boundary=("orig", "empty"))
+        except AnalysisError:
+            return []
+        for label, block in func.blocks.items():
+            state = in_states[label]
+            if state == lattice.bottom():
+                continue
+            for insn in block.insns:
+                if (insn.is_return or _is_tail_call(insn)) \
+                        and state[0] == "dirty":
+                    findings.append(Finding(
+                        "BL002",
+                        f"exits with callee-saved %{reg_name(reg)} "
+                        f"clobbered and not restored from its save slot "
+                        f"(rbp{-offset:+#x})",
+                        function=func.name, block=label,
+                        address=insn.address))
+                    break
+                state = _reference_saved_reg_step(insn, state, reg, offset)
+    return [f.to_dict() for f in findings]
+
+
+_TRACKED = (RBX, R12, R13)
+_OFFSETS = (8, 16, 24)
+_regs = st.sampled_from(_TRACKED + (RAX, RCX))
+_offsets = st.sampled_from(_OFFSETS)
+_other = SymRef("other", "branch")
+_insns = st.one_of(
+    st.builds(lambda r, o: Instruction(Op.STORE, (RBP, r), disp=-o),
+              _regs, _offsets),                             # save / slot store
+    st.builds(lambda r, o: Instruction(Op.LOAD, (r, RBP), disp=-o),
+              _regs, _offsets),                             # restore
+    st.builds(lambda r: Instruction(Op.MOV_RI32, (r,), imm=0), _regs),
+    st.builds(lambda r: Instruction(Op.POP, (r,)), _regs),
+    st.builds(lambda r, o: Instruction(Op.STORE, (RAX, r), disp=-o),
+              _regs, _offsets),                             # not rbp-based
+    st.builds(lambda r: Instruction(Op.STORE_ABS, (r,), addr=0x2000), _regs),
+    st.just(Instruction(Op.STOREIDX, (RAX, RCX, RDX))),
+    st.just(Instruction(Op.CALL, sym=SymRef("g", "branch"))),
+    st.just(Instruction(Op.RET)),
+    st.just(Instruction(Op.JMP_NEAR, sym=_other)),          # tail call
+    st.just(Instruction(Op.JCC_LONG, cc=0, sym=_other)),    # cond. tail call
+    st.just(Instruction(Op.NOP)),
+)
+
+
+@st.composite
+def _saved_reg_functions(draw):
+    n = draw(st.integers(1, 6))
+    labels = [f"b{i}" for i in range(n)]
+    func = _framed(saved=draw(st.lists(st.tuples(
+        st.sampled_from(_TRACKED), _offsets), min_size=1, max_size=4)))
+    for label in labels:
+        insns = [insn.copy() for insn in
+                 draw(st.lists(_insns, max_size=6))]
+        for i, insn in enumerate(insns):
+            insn.address = 0x1000 + 0x40 * labels.index(label) + i
+        func.add_block(block(label, insns))
+    for label in labels:
+        b = func.blocks[label]
+        for succ in draw(st.lists(st.sampled_from(labels), max_size=3)):
+            b.set_edge(succ)
+        for lp in draw(st.lists(st.sampled_from(labels), max_size=2)):
+            if lp not in b.landing_pads:
+                b.landing_pads.append(lp)
+                func.blocks[lp].is_landing_pad = True
+    func.analysis_facts["shrink-wrap"] = draw(st.dictionaries(
+        st.sampled_from(_TRACKED), st.sampled_from(labels + ["gone"]),
+        max_size=2))
+    return func
+
+
+@given(_saved_reg_functions())
+@settings(max_examples=300, deadline=None)
+def test_bl002_joint_fixpoint_matches_per_register_solver(func):
+    got = [f.to_dict() for f in check_function(func) if f.rule == "BL002"]
+    assert got == _reference_callee_saved(func)
 
 
 # ---------------------------------------------------------------------------

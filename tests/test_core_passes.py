@@ -122,6 +122,121 @@ def test_icf_merges_profile():
     assert survivor.exec_count == total
 
 
+def _reference_function_key(func):
+    """ICF's key as first written: build it, then swap the function's
+    own name for ``__self__`` in a recursive post-pass."""
+    index = {label: i for i, label in enumerate(func.blocks)}
+    table_ids = {id(t): i for i, t in enumerate(func.jump_tables)}
+    table_addrs = {t.address: i for i, t in enumerate(func.jump_tables)}
+    blocks = []
+    for label, block in func.blocks.items():
+        insn_keys = []
+        for insn in block.insns:
+            table = insn.get_annotation("jump-table")
+            imm = insn.imm
+            if imm in table_addrs:
+                imm = ("jt", table_addrs[imm])
+            insn_keys.append((
+                int(insn.op),
+                insn.regs,
+                imm if table is None else None,
+                insn.disp,
+                insn.addr,
+                int(insn.cc) if insn.cc is not None else None,
+                index.get(insn.label, insn.label),
+                (insn.sym.name, insn.sym.kind, insn.sym.addend)
+                if insn.sym is not None else None,
+                table_ids.get(id(table)),
+            ))
+        blocks.append((
+            index[label],
+            tuple(insn_keys),
+            tuple(index.get(s, s) for s in block.successors),
+            index.get(block.fallthrough_label),
+            tuple(index.get(lp, lp) for lp in block.landing_pads),
+            block.is_landing_pad,
+        ))
+    tables = tuple(
+        tuple(index.get(e, e) for e in t.entries) for t in func.jump_tables)
+    record = func.frame_record
+    frame = None
+    if record is not None:
+        frame = (record.frame_size, tuple(map(tuple, record.saved_regs)),
+                 tuple((c.start, c.end, c.landing_pad, c.action)
+                       for c in record.callsites))
+
+    def swap(item):
+        if isinstance(item, tuple):
+            return tuple(swap(x) for x in item)
+        if item == func.name:
+            return "__self__"
+        return item
+
+    return swap((tuple(blocks), tables, frame))
+
+
+def _checked_icf_keys(monkeypatch):
+    """Make every ICF key computation assert it equals the reference."""
+    import repro.core.passes.icf as icf
+
+    fast = icf._function_key
+    checked = []
+
+    def key(func):
+        got = fast(func)
+        assert got == _reference_function_key(func), func.name
+        checked.append(func.name)
+        return got
+
+    monkeypatch.setattr(icf, "_function_key", key)
+    return checked
+
+
+def test_icf_key_matches_reference_on_compiler_preset(monkeypatch):
+    from repro.harness import build_workload, sample_profile
+    from repro.workloads import make_workload
+
+    built = build_workload(make_workload("compiler", iterations=2))
+    profile, _ = sample_profile(built, sampling=SamplingConfig(period=997))
+    checked = _checked_icf_keys(monkeypatch)
+    result = optimize_binary(built.exe, profile, BoltOptions())
+    # A key mismatch would be contained as a failed whole-context pass.
+    assert not result.diagnostics.errors and result.degraded is None
+    simple = {f.name for f in result.context.functions.values()
+              if f.is_simple}
+    # Round 1 saw every function; round 2 every one round 1 kept.
+    assert len(simple) > 200 and set(checked) >= simple
+    assert len(checked) > len(simple)
+
+
+def test_icf_key_self_reference_and_tag_names(monkeypatch):
+    switch = """
+  switch (x % 4) {
+    case 0: { return 5; } case 1: { return 6; }
+    case 2: { return 7; } case 3: { return jt(x - 1); }
+  }
+  return -1;
+"""
+    exe, context = analyze([
+        ("a", f"func jt(x) {{ {switch} }}\n"
+              "func fact(n) { if (n < 2) { return 1; } "
+              "return n * fact(n - 1); }\n"
+              "func branch(n) { if (n < 1) { return 0; } "
+              "return 1 + branch(n - 1); }\n"
+              "func main() { return jt(9) + fact(4) + branch(3); }"),
+    ])
+    checked = _checked_icf_keys(monkeypatch)
+    IdenticalCodeFolding().run(context)
+    assert {"jt", "fact", "branch"} <= set(checked)
+    import repro.core.passes.icf as icf
+
+    jt = context.functions["jt"]
+    assert jt.jump_tables  # the "jt" key tag is in play
+    assert "__self__" in repr(icf._function_key(jt))
+    for name in ("fact", "branch"):
+        assert "__self__" in repr(icf._function_key(context.functions[name]))
+
+
 def test_peepholes_push_pop():
     exe, context = analyze([("m", """
 func g(x) { return x + 1; }

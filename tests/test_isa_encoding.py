@@ -38,6 +38,27 @@ def test_nop_sizes():
     assert instruction_size(Instruction(Op.REPZ_RET)) == 2
 
 
+def _format_size_formula(op):
+    """The per-call computation the format_size table replaced."""
+    from repro.isa.opcodes import _ATOM_SIZES
+
+    base = 1
+    if op == Op.JCC_LONG:
+        base = 2  # 0x0F prefix + opcode byte
+    return base + sum(_ATOM_SIZES[atom] for atom in OPERAND_FORMATS[op])
+
+
+def test_format_size_table_matches_formula():
+    for op in Op:
+        if op not in OPERAND_FORMATS:  # the 0x0F prefix is not an opcode
+            for size_of in (format_size, _format_size_formula):
+                with pytest.raises(KeyError):
+                    size_of(op)
+            continue
+        assert format_size(op) == _format_size_formula(op), op.name
+        assert format_size(int(op)) == _format_size_formula(op), op.name
+
+
 def test_branch_sizes_match_paper():
     """Paper section 3.1: 2-byte short jcc vs 6-byte long jcc."""
     short = Instruction(Op.JCC_SHORT, cc=CondCode.NE, target=0x1010)

@@ -19,6 +19,7 @@ from repro.core.passes.base import BinaryPass, PassManager
 from repro.core.reports import dump_function, format_timing_table
 from repro.core.validate import validate_execution
 from repro.ir import InlinePolicy
+from repro.isa import Op
 from repro.profiling import SamplingConfig, profile_binary
 from repro.uarch import run_binary
 
@@ -145,13 +146,70 @@ def test_parallel_containment_matches_serial(baseline):
         stats = PassManager([_ExplodingPass()]).run(context)
         spin = context.functions["spin"]
         assert not spin.is_simple  # demoted, not lost
-        assert spin.blocks  # snapshot restored before demotion
+        assert spin.blocks  # demote_to_raw rebuilt them from raw bytes
         outcomes[threads] = (
             stats,
             [d.render() for d in context.diagnostics],
             sorted(f.name for f in context.simple_functions()),
         )
     assert outcomes[1] == outcomes[4]
+
+
+class _CorruptingPass(BinaryPass):
+    """Leaves ``spin`` half-rewritten, then fails on it."""
+
+    name = "corrupting"
+
+    def run_on_function(self, context, func):
+        if func.name != "spin":
+            return {}
+        assert func.jump_tables, "spin must dispatch through a jump table"
+        labels = list(func.blocks)
+        del func.blocks[labels[-1]]
+        insn = func.blocks[func.entry_label].insns[0]
+        insn.op, insn.size = Op.TRAP, 1
+        table = func.jump_tables[0]
+        table.entries[0] = table.entries[-1]
+        func.analysis_facts["corrupting"] = {"half": "done"}
+        raise RuntimeError("half-done rewrite")
+
+
+def _function_bytes(binary, name):
+    sym = binary.get_symbol(name)
+    section = binary.section_at(sym.value)
+    offset = sym.value - section.addr
+    return bytes(section.data[offset : offset + sym.size])
+
+
+def test_failed_pass_emits_original_bytes(baseline, monkeypatch):
+    # Nothing is snapshotted before a pass: the function a pass left
+    # half-rewritten is demoted straight from its raw bytes.
+    import repro.core.rewriter as rewriter
+
+    exe, cpu, profile = baseline
+    pipeline = rewriter.build_pipeline
+
+    def with_corrupting_pass(options):
+        manager = pipeline(options)
+        manager.passes.insert(0, _CorruptingPass())
+        return manager
+
+    monkeypatch.setattr(rewriter, "build_pipeline", with_corrupting_pass)
+    outputs = []
+    for threads in (1, 4):
+        result = optimize_binary(exe, profile, BoltOptions(threads=threads))
+        spin = result.context.functions["spin"]
+        assert not spin.is_simple
+        assert "corrupting" in spin.simple_violation
+        assert not spin.jump_tables and not spin.analysis_facts
+        assert any("half-done rewrite" in d.message
+                   for d in result.diagnostics)
+        assert (_function_bytes(result.binary, "spin")
+                == _function_bytes(exe, "spin") == spin.raw_bytes)
+        opt = run_binary(result.binary)
+        assert opt.output == cpu.output and opt.exit_code == cpu.exit_code
+        outputs.append(write_binary(result.binary))
+    assert outputs[0] == outputs[1]
 
 
 # -- fast snapshot (BinaryFunction.clone) ------------------------------------
