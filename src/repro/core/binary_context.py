@@ -18,7 +18,7 @@ class BinaryContext:
     def __init__(self, binary, options):
         self.binary = binary
         self.options = options
-        self.diagnostics = Diagnostics(strict=getattr(options, "strict", False))
+        self.diagnostics = Diagnostics(strict=options.strict)
         self.stale_profile = False
         self.profile_quality = None
         self.has_relocations = bool(binary.relocations)

@@ -100,8 +100,8 @@ class _PhaseTimer:
 
 def timing_report_for(options):
     """A TimingReport when any timing option is on, else None."""
-    time_passes = getattr(options, "time_opts", False)
-    time_phases = getattr(options, "time_rewrite", False)
+    time_passes = options.time_opts
+    time_phases = options.time_rewrite
     if not (time_passes or time_phases):
         return None
     return TimingReport(time_passes=time_passes, time_phases=time_phases)

@@ -6,6 +6,12 @@ for the block-cached engine in :mod:`repro.uarch.cpu` — the same
 pattern as :mod:`repro.core._reference_kernels` from PR 3.  Select it
 with ``UarchConfig(engine="ref")`` or ``--engine ref``.
 
+The primitives both engines share (``_MASK``, ``_wrap``,
+``ExecutionLimitExceeded``, ``MachineFault``, ``Memory``) live in
+:mod:`repro.uarch.machine`; the hardware models live in their own
+modules.  Those are outside this oracle's guarantee and are pinned by
+``tests/test_golden_counters.py`` instead.
+
 Executes decoded BX86 instructions out of the loaded memory image,
 charging cycles via :class:`UarchConfig` penalties.  Supports:
 
@@ -23,18 +29,13 @@ from repro.uarch.caches import Cache, TLB
 from repro.uarch.config import UarchConfig
 from repro.uarch.counters import Counters
 from repro.uarch.lbr import LBR
-from repro.uarch.machine import Machine, MachineFault, EXIT_MAGIC
-
-_MASK = (1 << 64) - 1
-
-
-def _wrap(value):
-    value &= _MASK
-    return value - (1 << 64) if value >= 1 << 63 else value
-
-
-class ExecutionLimitExceeded(Exception):
-    """The instruction budget ran out (likely an infinite loop)."""
+from repro.uarch.machine import (
+    EXIT_MAGIC,
+    ExecutionLimitExceeded,
+    MachineFault,
+    _MASK,
+    _wrap,
+)
 
 
 class ReferenceCPU:

@@ -3,7 +3,7 @@
 The pre-PR 5 per-instruction interpreter lives on verbatim in
 :mod:`repro.uarch._reference_cpu` (class :class:`ReferenceCPU`) as the
 equivalence oracle.  This module adds :class:`BlockCPU`, a bit-exact
-but several-times-faster engine built on three ideas:
+but several-times-faster engine built on four ideas:
 
 1. **Per-binary trace cache.**  Code is immutable after load, so
    straight-line instruction runs are pre-decoded once into traces
@@ -35,9 +35,18 @@ but several-times-faster engine built on three ideas:
    execution falls back to the inherited interpretive loop — still
    bit-exact, including for self-modifying code.
 
-Per-instruction sampler/skid ticks, LBR records, branch-predictor
-updates and data-side cache/TLB accounting stay exact by construction:
-they run per step, in stream order, on the same model objects.
+4. **Data-side hit paths.**  A data access whose page is the D-TLB's
+   ``_last`` and whose tag is way 0 of its L1D set changes no model
+   state, the same guarantee idea 2 uses for fetches.  The eight hot
+   memory arms (LOAD, STORE, PUSH, POP, LOADIDX, STOREIDX, CALL, RET)
+   test that inline and only count such hits in per-trace locals,
+   added to the counters and the models' ``.accesses`` with the fetch
+   batch (trace end, or the fault path).  Every other access goes
+   through ``_dacc``, which calls ``access()`` in stream order.
+
+Per-instruction sampler/skid ticks, LBR records and branch-predictor
+updates stay exact by construction: they run per step, in stream
+order, on the same model objects.
 """
 
 import weakref
@@ -45,14 +54,16 @@ import weakref
 from repro.belf import BUILTIN_BASE
 from repro.isa import decode, DecodeError, RAX, RSP
 from repro.isa.opcodes import Op, CondCode
-from repro.uarch._reference_cpu import (
+from repro.uarch._reference_cpu import ReferenceCPU
+from repro.uarch.config import UarchConfig
+from repro.uarch.machine import (
+    EXIT_MAGIC,
+    ExecutionLimitExceeded,
+    Machine,
+    MachineFault,
     _MASK,
     _wrap,
-    ExecutionLimitExceeded,
-    ReferenceCPU,
 )
-from repro.uarch.config import UarchConfig
-from repro.uarch.machine import Machine, MachineFault, EXIT_MAGIC
 
 _U64 = 0xFFFFFFFFFFFFFFFF
 _SIGN = 0x8000000000000000
@@ -61,45 +72,46 @@ _TWO64 = 0x10000000000000000
 #: Maximum instructions per cached trace.
 _TRACE_CAP = 256
 
-# Straight-line step kinds (hot ones first: executor dispatch is an
-# if/elif chain in this order).
-_K_LOAD = 0
-_K_MOV_RI = 1
-_K_MOV_RR = 2
-_K_ADD_RI = 3
-_K_ADD_RR = 4
+# Straight-line step kinds, numbered by dynamic frequency (the same
+# order on the proxygen, compiler and multifeed1 presets): executor
+# dispatch is an if/elif chain in this order.
+_K_MOV_RR = 0
+_K_ADD_RR = 1
+_K_MOV_RI = 2
+_K_PUSH = 3
+_K_POP = 4
 _K_STORE = 5
-_K_CMP_RI = 6
-_K_CMP_RR = 7
-_K_SUB_RR = 8
-_K_SUB_RI = 9
-_K_LEA = 10
-_K_LOADIDX = 11
-_K_STOREIDX = 12
-_K_PUSH = 13
-_K_POP = 14
-_K_IMUL_RR = 15
-_K_IMUL_RI = 16
-_K_AND_RR = 17
-_K_AND_RI = 18
-_K_OR_RR = 19
-_K_OR_RI = 20
-_K_XOR_RR = 21
-_K_XOR_RI = 22
-_K_SHL_RI = 23
-_K_SHR_RI = 24
-_K_SAR_RI = 25
-_K_SHL_RR = 26
-_K_SHR_RR = 27
-_K_SAR_RR = 28
-_K_NEG = 29
-_K_IDIV = 30
-_K_IMOD = 31
-_K_TEST_RR = 32
-_K_TEST_RI = 33
-_K_SETCC = 34
-_K_LOAD_ABS = 35
-_K_STORE_ABS = 36
+_K_IMUL_RI = 6
+_K_SAR_RI = 7
+_K_IMOD = 8
+_K_IDIV = 9
+_K_LOAD = 10
+_K_CMP_RI = 11
+_K_AND_RI = 12
+_K_LOADIDX = 13
+_K_LOAD_ABS = 14
+_K_SUB_RI = 15
+_K_ADD_RI = 16
+_K_SUB_RR = 17
+_K_XOR_RR = 18
+_K_XOR_RI = 19
+_K_STOREIDX = 20
+_K_CMP_RR = 21
+_K_LEA = 22
+_K_AND_RR = 23
+_K_STORE_ABS = 24
+_K_IMUL_RR = 25
+_K_OR_RR = 26
+_K_OR_RI = 27
+_K_SHL_RI = 28
+_K_SHR_RI = 29
+_K_SHL_RR = 30
+_K_SHR_RR = 31
+_K_SAR_RR = 32
+_K_NEG = 33
+_K_TEST_RR = 34
+_K_TEST_RI = 35
+_K_SETCC = 36
 _K_OUT = 37
 _K_NOP = 38
 
@@ -211,7 +223,7 @@ class BlockCPU(ReferenceCPU):
                 dc[pcs[j]] = insns[j]
         self._trace_fetched.clear()
 
-    # -- data-side accounting (cold arms; hot arms inline this) ---------------
+    # -- data-side accounting (cold arms, and hot-arm non-MRU accesses) -------
 
     def _dacc(self, addr, pc, is_write):
         if addr < 0:
@@ -355,8 +367,17 @@ class BlockCPU(ReferenceCPU):
         itlb = self.itlb
         l1i_access = l1i.access
         itlb_access = itlb.access
-        dtlb_access = self.dtlb.access
-        l1d_access = self.l1d.access
+        dtlb = self.dtlb
+        l1d = self.l1d
+        dacc = self._dacc
+        # Data-side MRU test (idea 4): the page is dtlb._last and the tag
+        # is way 0 of its L1D set; d_pb/d_lb/d_tb shift an address to its
+        # page, line and tag, d_sm masks a line to its set.
+        d_pb = dtlb.page_bits
+        d_lb = l1d.line_bits
+        d_tb = l1d.line_bits + l1d.tag_shift
+        d_sm = l1d.set_mask
+        d_sets = l1d.sets
         bp = self.bp
         lbr = self.lbr
         sampler = self.sampler
@@ -391,16 +412,9 @@ class BlockCPU(ReferenceCPU):
             skid_rem = self._skid_remaining
             last_taken = getattr(self, "_last_taken", 0)
 
-            def tick(tpc, tcyc):
-                nonlocal acc, skid_rem, last_taken
-                if s_event == 0:
-                    acc += tcyc
-                elif s_event == 1:
-                    acc += 1
-                else:
-                    tb = counters.taken_branches
-                    acc += tb - last_taken
-                    last_taken = tb
+            def fire(tpc):
+                """Skid countdown and period check, after accumulation."""
+                nonlocal acc, skid_rem
                 if skid_rem >= 0:
                     if skid_rem == 0:
                         take_sample(
@@ -450,8 +464,10 @@ class BlockCPU(ReferenceCPU):
                 run_steps = steps if count >= n_straight else steps[:count]
             done = 0
             cyc_total = 0
+            n_rd = n_wr = 0         # data accesses that hit MRU in both
             bail = False
             executed_term = False
+            fault = None
             pc = entry
 
             try:
@@ -470,119 +486,57 @@ class BlockCPU(ReferenceCPU):
                                 counters.itlb_misses += 1
                                 cyc += tlb_pen
 
-                    if k == 0:          # LOAD
-                        addr = regs[b] + c
-                        if addr < 0:
-                            raise MachineFault(
-                                f"bad read address {addr:#x} at pc={pc:#x}")
-                        counters.dtlb_accesses += 1
-                        if not dtlb_access(addr):
-                            counters.dtlb_misses += 1
-                            cyc += tlb_pen
-                        counters.l1d_accesses += 1
-                        if not l1d_access(addr):
-                            counters.l1d_misses += 1
-                            cyc += self._miss_path(addr)
-                        counters.mem_reads += 1
-                        regs[a] = read_word(addr)
-                    elif k == 1:        # MOV_RI32 / MOV_RI64
-                        regs[a] = b
-                    elif k == 2:        # MOV_RR
+                    if k == 0:          # MOV_RR
                         regs[a] = regs[b]
-                    elif k == 3:        # ADD_RI
-                        v = (regs[a] + b) & _U64
-                        regs[a] = v - _TWO64 if v >= _SIGN else v
-                    elif k == 4:        # ADD_RR
+                    elif k == 1:        # ADD_RR
                         v = (regs[a] + regs[b]) & _U64
                         regs[a] = v - _TWO64 if v >= _SIGN else v
+                    elif k == 2:        # MOV_RI32 / MOV_RI64
+                        regs[a] = b
+                    elif k == 3:        # PUSH
+                        v = (regs[rsp_i] - 8) & _U64
+                        addr = v - _TWO64 if v >= _SIGN else v
+                        regs[rsp_i] = addr
+                        if (addr >> d_pb == dtlb._last
+                                and (w := d_sets[addr >> d_lb & d_sm])
+                                and w[0] == addr >> d_tb):
+                            n_wr += 1
+                        else:
+                            cyc += dacc(addr, pc, True)
+                        write_word(addr, regs[a])
+                        if (addr < exec_hi and addr + 8 > exec_lo
+                                and machine.code_write_check(addr)):
+                            bail = True
+                    elif k == 4:        # POP
+                        addr = regs[rsp_i]
+                        if (addr >> d_pb == dtlb._last
+                                and (w := d_sets[addr >> d_lb & d_sm])
+                                and w[0] == addr >> d_tb):
+                            n_rd += 1
+                        else:
+                            cyc += dacc(addr, pc, False)
+                        regs[a] = read_word(addr)
+                        v = (addr + 8) & _U64
+                        regs[rsp_i] = v - _TWO64 if v >= _SIGN else v
                     elif k == 5:        # STORE
                         addr = regs[a] + b
-                        if addr < 0:
-                            raise MachineFault(
-                                f"bad write address {addr:#x} at pc={pc:#x}")
-                        counters.dtlb_accesses += 1
-                        if not dtlb_access(addr):
-                            counters.dtlb_misses += 1
-                            cyc += tlb_pen
-                        counters.l1d_accesses += 1
-                        if not l1d_access(addr):
-                            counters.l1d_misses += 1
-                            cyc += self._miss_path(addr)
-                        counters.mem_writes += 1
+                        if (addr >> d_pb == dtlb._last
+                                and (w := d_sets[addr >> d_lb & d_sm])
+                                and w[0] == addr >> d_tb):
+                            n_wr += 1
+                        else:
+                            cyc += dacc(addr, pc, True)
                         write_word(addr, regs[c])
                         if (addr < exec_hi and addr + 8 > exec_lo
                                 and machine.code_write_check(addr)):
                             bail = True
-                    elif k == 6:        # CMP_RI
-                        fa = regs[a]
-                        fb = b
-                    elif k == 7:        # CMP_RR
-                        fa = regs[a]
-                        fb = regs[b]
-                    elif k == 8:        # SUB_RR
-                        v = (regs[a] - regs[b]) & _U64
+                    elif k == 6:        # IMUL_RI
+                        v = (regs[a] * b) & _U64
                         regs[a] = v - _TWO64 if v >= _SIGN else v
-                    elif k == 9:        # SUB_RI
-                        v = (regs[a] - b) & _U64
+                    elif k == 7:        # SAR_RI
+                        v = (regs[a] >> (b & 63)) & _U64
                         regs[a] = v - _TWO64 if v >= _SIGN else v
-                    elif k == 10:       # LEA
-                        v = (regs[b] + c) & _U64
-                        regs[a] = v - _TWO64 if v >= _SIGN else v
-                    elif k == 11:       # LOADIDX
-                        addr = regs[b] + 8 * regs[c] + d
-                        cyc += self._dacc(addr, pc, False)
-                        regs[a] = read_word(addr)
-                    elif k == 12:       # STOREIDX
-                        addr = regs[a] + 8 * regs[b] + c
-                        cyc += self._dacc(addr, pc, True)
-                        write_word(addr, regs[d])
-                        if (addr < exec_hi and addr + 8 > exec_lo
-                                and machine.code_write_check(addr)):
-                            bail = True
-                    elif k == 13:       # PUSH
-                        rsp = _wrap(regs[rsp_i] - 8)
-                        regs[rsp_i] = rsp
-                        cyc += self._dacc(rsp, pc, True)
-                        write_word(rsp, regs[a])
-                        if (rsp < exec_hi and rsp + 8 > exec_lo
-                                and machine.code_write_check(rsp)):
-                            bail = True
-                    elif k == 14:       # POP
-                        rsp = regs[rsp_i]
-                        cyc += self._dacc(rsp, pc, False)
-                        regs[a] = read_word(rsp)
-                        regs[rsp_i] = _wrap(rsp + 8)
-                    elif k == 15:       # IMUL_RR
-                        regs[a] = _wrap(regs[a] * regs[b])
-                    elif k == 16:       # IMUL_RI
-                        regs[a] = _wrap(regs[a] * b)
-                    elif k == 17:       # AND_RR
-                        regs[a] = _wrap(regs[a] & regs[b])
-                    elif k == 18:       # AND_RI
-                        regs[a] = _wrap(regs[a] & b)
-                    elif k == 19:       # OR_RR
-                        regs[a] = _wrap(regs[a] | regs[b])
-                    elif k == 20:       # OR_RI
-                        regs[a] = _wrap(regs[a] | b)
-                    elif k == 21:       # XOR_RR
-                        regs[a] = _wrap(regs[a] ^ regs[b])
-                    elif k == 22:       # XOR_RI
-                        regs[a] = _wrap(regs[a] ^ b)
-                    elif k == 23:       # SHL_RI
-                        regs[a] = _wrap(regs[a] << (b & 63))
-                    elif k == 24:       # SHR_RI
-                        regs[a] = _wrap((regs[a] & _MASK) >> (b & 63))
-                    elif k == 25:       # SAR_RI
-                        regs[a] = _wrap(regs[a] >> (b & 63))
-                    elif k == 26:       # SHL_RR
-                        regs[a] = _wrap(regs[a] << (regs[b] & 63))
-                    elif k == 27:       # SHR_RR
-                        regs[a] = _wrap((regs[a] & _MASK) >> (regs[b] & 63))
-                    elif k == 28:       # SAR_RR
-                        regs[a] = _wrap(regs[a] >> (regs[b] & 63))
-                    elif k == 29:       # NEG
-                        regs[a] = _wrap(-regs[a])
-                    elif k == 30 or k == 31:    # IDIV_RR / IMOD_RR
+                    elif k == 8 or k == 9:     # IMOD_RR / IDIV_RR
                         divisor = regs[b]
                         if divisor == 0:
                             raise MachineFault(
@@ -591,27 +545,101 @@ class BlockCPU(ReferenceCPU):
                         quotient = abs(dividend) // abs(divisor)
                         if (dividend < 0) != (divisor < 0):
                             quotient = -quotient
-                        if k == 30:
+                        if k == 9:
                             regs[a] = _wrap(quotient)
                         else:
                             regs[a] = _wrap(dividend - quotient * divisor)
-                    elif k == 32:       # TEST_RR
-                        fa = _wrap(regs[a] & regs[b])
-                        fb = 0
-                    elif k == 33:       # TEST_RI
-                        fa = _wrap(regs[a] & b)
-                        fb = 0
-                    elif k == 34:       # SETCC
-                        regs[a] = 1 if _cc_eval(int(CondCode(b)), fa, fb) else 0
-                    elif k == 35:       # LOAD_ABS
-                        cyc += self._dacc(b, pc, False)
+                    elif k == 10:       # LOAD
+                        addr = regs[b] + c
+                        if (addr >> d_pb == dtlb._last
+                                and (w := d_sets[addr >> d_lb & d_sm])
+                                and w[0] == addr >> d_tb):
+                            n_rd += 1
+                        else:
+                            cyc += dacc(addr, pc, False)
+                        regs[a] = read_word(addr)
+                    elif k == 11:       # CMP_RI
+                        fa = regs[a]
+                        fb = b
+                    elif k == 12:       # AND_RI
+                        regs[a] = _wrap(regs[a] & b)
+                    elif k == 13:       # LOADIDX
+                        addr = regs[b] + 8 * regs[c] + d
+                        if (addr >> d_pb == dtlb._last
+                                and (w := d_sets[addr >> d_lb & d_sm])
+                                and w[0] == addr >> d_tb):
+                            n_rd += 1
+                        else:
+                            cyc += dacc(addr, pc, False)
+                        regs[a] = read_word(addr)
+                    elif k == 14:       # LOAD_ABS
+                        cyc += dacc(b, pc, False)
                         regs[a] = read_word(b)
-                    elif k == 36:       # STORE_ABS
-                        cyc += self._dacc(a, pc, True)
+                    elif k == 15:       # SUB_RI
+                        v = (regs[a] - b) & _U64
+                        regs[a] = v - _TWO64 if v >= _SIGN else v
+                    elif k == 16:       # ADD_RI
+                        v = (regs[a] + b) & _U64
+                        regs[a] = v - _TWO64 if v >= _SIGN else v
+                    elif k == 17:       # SUB_RR
+                        v = (regs[a] - regs[b]) & _U64
+                        regs[a] = v - _TWO64 if v >= _SIGN else v
+                    elif k == 18:       # XOR_RR
+                        regs[a] = _wrap(regs[a] ^ regs[b])
+                    elif k == 19:       # XOR_RI
+                        regs[a] = _wrap(regs[a] ^ b)
+                    elif k == 20:       # STOREIDX
+                        addr = regs[a] + 8 * regs[b] + c
+                        if (addr >> d_pb == dtlb._last
+                                and (w := d_sets[addr >> d_lb & d_sm])
+                                and w[0] == addr >> d_tb):
+                            n_wr += 1
+                        else:
+                            cyc += dacc(addr, pc, True)
+                        write_word(addr, regs[d])
+                        if (addr < exec_hi and addr + 8 > exec_lo
+                                and machine.code_write_check(addr)):
+                            bail = True
+                    elif k == 21:       # CMP_RR
+                        fa = regs[a]
+                        fb = regs[b]
+                    elif k == 22:       # LEA
+                        v = (regs[b] + c) & _U64
+                        regs[a] = v - _TWO64 if v >= _SIGN else v
+                    elif k == 23:       # AND_RR
+                        regs[a] = _wrap(regs[a] & regs[b])
+                    elif k == 24:       # STORE_ABS
+                        cyc += dacc(a, pc, True)
                         write_word(a, regs[b])
                         if (a < exec_hi and a + 8 > exec_lo
                                 and machine.code_write_check(a)):
                             bail = True
+                    elif k == 25:       # IMUL_RR
+                        regs[a] = _wrap(regs[a] * regs[b])
+                    elif k == 26:       # OR_RR
+                        regs[a] = _wrap(regs[a] | regs[b])
+                    elif k == 27:       # OR_RI
+                        regs[a] = _wrap(regs[a] | b)
+                    elif k == 28:       # SHL_RI
+                        regs[a] = _wrap(regs[a] << (b & 63))
+                    elif k == 29:       # SHR_RI
+                        regs[a] = _wrap((regs[a] & _MASK) >> (b & 63))
+                    elif k == 30:       # SHL_RR
+                        regs[a] = _wrap(regs[a] << (regs[b] & 63))
+                    elif k == 31:       # SHR_RR
+                        regs[a] = _wrap((regs[a] & _MASK) >> (regs[b] & 63))
+                    elif k == 32:       # SAR_RR
+                        regs[a] = _wrap(regs[a] >> (regs[b] & 63))
+                    elif k == 33:       # NEG
+                        regs[a] = _wrap(-regs[a])
+                    elif k == 34:       # TEST_RR
+                        fa = _wrap(regs[a] & regs[b])
+                        fb = 0
+                    elif k == 35:       # TEST_RI
+                        fa = _wrap(regs[a] & b)
+                        fb = 0
+                    elif k == 36:       # SETCC
+                        regs[a] = 1 if _cc_eval(int(CondCode(b)), fa, fb) else 0
                     elif k == 37:       # OUT
                         out_append(regs[a])
                     # k == 38: NOP / NOPN
@@ -620,7 +648,16 @@ class BlockCPU(ReferenceCPU):
                     cyc_total += cyc
                     done += 1
                     if sampler is not None:
-                        tick(pc, cyc)
+                        if s_event == 0:
+                            acc += cyc
+                        elif s_event == 1:
+                            acc += 1
+                        else:
+                            tb = counters.taken_branches
+                            acc += tb - last_taken
+                            last_taken = tb
+                        if skid_rem >= 0 or acc >= s_period:
+                            fire(pc)
                     if bail:
                         break
 
@@ -655,10 +692,16 @@ class BlockCPU(ReferenceCPU):
                             npc = b
                     elif tk == 7:       # RET / REPZ_RET
                         counters.returns += 1
-                        rsp = regs[rsp_i]
-                        cyc += self._dacc(rsp, pc, False)
-                        target = read_word(rsp) & _MASK
-                        regs[rsp_i] = _wrap(rsp + 8)
+                        addr = regs[rsp_i]
+                        if (addr >> d_pb == dtlb._last
+                                and (w := d_sets[addr >> d_lb & d_sm])
+                                and w[0] == addr >> d_tb):
+                            n_rd += 1
+                        else:
+                            cyc += dacc(addr, pc, False)
+                        target = read_word(addr) & _MASK
+                        v = (addr + 8) & _U64
+                        regs[rsp_i] = v - _TWO64 if v >= _SIGN else v
                         correct = bp.predict_return(target)
                         if not correct:
                             counters.branch_misses += 1
@@ -675,12 +718,18 @@ class BlockCPU(ReferenceCPU):
                             npc = target
                     elif tk == 2:       # CALL
                         counters.calls += 1
-                        rsp = _wrap(regs[rsp_i] - 8)
-                        regs[rsp_i] = rsp
-                        cyc += self._dacc(rsp, pc, True)
-                        write_word(rsp, npc)
-                        if rsp < exec_hi and rsp + 8 > exec_lo:
-                            machine.code_write_check(rsp)
+                        v = (regs[rsp_i] - 8) & _U64
+                        addr = v - _TWO64 if v >= _SIGN else v
+                        regs[rsp_i] = addr
+                        if (addr >> d_pb == dtlb._last
+                                and (w := d_sets[addr >> d_lb & d_sm])
+                                and w[0] == addr >> d_tb):
+                            n_wr += 1
+                        else:
+                            cyc += dacc(addr, pc, True)
+                        write_word(addr, npc)
+                        if addr < exec_hi and addr + 8 > exec_lo:
+                            machine.code_write_check(addr)
                         bp.push_return(npc)
                         counters.taken_branches += 1
                         cyc += taken_pen
@@ -700,7 +749,7 @@ class BlockCPU(ReferenceCPU):
                         if tk == 3:
                             target = regs[a] & _MASK
                         else:
-                            cyc += self._dacc(a, pc, False)
+                            cyc += dacc(a, pc, False)
                             target = read_word(a) & _MASK
                         correct = bp.predict_indirect(pc, target)
                         if not correct:
@@ -708,7 +757,7 @@ class BlockCPU(ReferenceCPU):
                             cyc += mispred_pen
                         rsp = _wrap(regs[rsp_i] - 8)
                         regs[rsp_i] = rsp
-                        cyc += self._dacc(rsp, pc, True)
+                        cyc += dacc(rsp, pc, True)
                         write_word(rsp, npc)
                         if rsp < exec_hi and rsp + 8 > exec_lo:
                             machine.code_write_check(rsp)
@@ -724,7 +773,7 @@ class BlockCPU(ReferenceCPU):
                         if tk == 5:
                             target = regs[a] & _MASK
                         else:
-                            cyc += self._dacc(a, pc, False)
+                            cyc += dacc(a, pc, False)
                             target = read_word(a) & _MASK
                         correct = bp.predict_indirect(pc, target)
                         if not correct:
@@ -751,41 +800,40 @@ class BlockCPU(ReferenceCPU):
                     executed_term = True
                     term_pc = pc
                     term_cyc = cyc
-            except MachineFault:
+            except MachineFault as exc:
                 # Dispatch-phase fault at `pc`: the reference counts the
                 # faulting instruction (fetched) but not its cycles.
-                counters.instructions += done + 1
-                counters.cycles += cyc_total
-                idx = done
+                fault = exc
+
+            # Flush block-batched accounting for the fetched steps: the
+            # `done` completed ones, plus the faulting one on a fault.
+            fetched = done if fault is None else done + 1
+            counters.instructions += fetched
+            counters.cycles += cyc_total
+            if fetched:
+                idx = fetched - 1
                 counters.l1i_accesses += cum_ia[idx]
                 l1i.accesses += cum_ia[idx] - cum_evi[idx]
-                counters.itlb_accesses += idx + 1
-                itlb.accesses += idx + 1 - cum_evp[idx]
+                counters.itlb_accesses += fetched
+                itlb.accesses += fetched - cum_evp[idx]
                 if fetch_heat is not None:
-                    for j in range(idx + 1):
+                    for j in range(fetched):
                         p = pcs[j]
                         fetch_heat[p] = fetch_heat.get(p, 0) + sizes[j]
-                if done + 1 > tf.get(entry, 0):
-                    tf[entry] = done + 1
+                if fetched > tf.get(entry, 0):
+                    tf[entry] = fetched
+            n_hits = n_rd + n_wr
+            if n_hits:
+                counters.dtlb_accesses += n_hits
+                counters.l1d_accesses += n_hits
+                counters.mem_reads += n_rd
+                counters.mem_writes += n_wr
+                dtlb.accesses += n_hits
+                l1d.accesses += n_hits
+            if fault is not None:
                 self.pc = pc
                 sync()
-                raise
-
-            # Flush block-batched accounting for the `done` completed steps.
-            counters.instructions += done
-            counters.cycles += cyc_total
-            if done:
-                idx = done - 1
-                counters.l1i_accesses += cum_ia[idx]
-                l1i.accesses += cum_ia[idx] - cum_evi[idx]
-                counters.itlb_accesses += done
-                itlb.accesses += done - cum_evp[idx]
-                if fetch_heat is not None:
-                    for j in range(done):
-                        p = pcs[j]
-                        fetch_heat[p] = fetch_heat.get(p, 0) + sizes[j]
-                if done > tf.get(entry, 0):
-                    tf[entry] = done
+                raise fault
             remaining -= done
 
             if executed_term:
@@ -796,7 +844,16 @@ class BlockCPU(ReferenceCPU):
                 else:
                     self.pc = npc
                 if sampler is not None:
-                    tick(term_pc, term_cyc)
+                    if s_event == 0:
+                        acc += term_cyc
+                    elif s_event == 1:
+                        acc += 1
+                    else:
+                        tb = counters.taken_branches
+                        acc += tb - last_taken
+                        last_taken = tb
+                    if skid_rem >= 0 or acc >= s_period:
+                        fire(term_pc)
                 if self.halted:
                     sync()
                     return self.exit_code
@@ -817,58 +874,66 @@ class BlockCPU(ReferenceCPU):
 def _prep_straight(op, insn):
     """(kind, a, b, c, d) for a straight-line op; None for terminators."""
     r = insn.regs
-    if op == Op.LOAD:
-        return (_K_LOAD, r[0], r[1], insn.disp, 0)
-    if op == Op.MOV_RI32 or op == Op.MOV_RI64:
-        return (_K_MOV_RI, r[0], insn.imm, 0, 0)
     if op == Op.MOV_RR:
         return (_K_MOV_RR, r[0], r[1], 0, 0)
-    if op == Op.ADD_RI:
-        return (_K_ADD_RI, r[0], insn.imm, 0, 0)
     if op == Op.ADD_RR:
         return (_K_ADD_RR, r[0], r[1], 0, 0)
-    if op == Op.STORE:
-        return (_K_STORE, r[0], insn.disp, r[1], 0)
-    if op == Op.CMP_RI:
-        return (_K_CMP_RI, r[0], insn.imm, 0, 0)
-    if op == Op.CMP_RR:
-        return (_K_CMP_RR, r[0], r[1], 0, 0)
-    if op == Op.SUB_RR:
-        return (_K_SUB_RR, r[0], r[1], 0, 0)
-    if op == Op.SUB_RI:
-        return (_K_SUB_RI, r[0], insn.imm, 0, 0)
-    if op == Op.LEA:
-        return (_K_LEA, r[0], r[1], insn.disp, 0)
-    if op == Op.LOADIDX:
-        return (_K_LOADIDX, r[0], r[1], r[2], insn.disp)
-    if op == Op.STOREIDX:
-        return (_K_STOREIDX, r[0], r[1], insn.disp, r[2])
+    if op == Op.MOV_RI32 or op == Op.MOV_RI64:
+        return (_K_MOV_RI, r[0], insn.imm, 0, 0)
     if op == Op.PUSH:
         return (_K_PUSH, r[0], 0, 0, 0)
     if op == Op.POP:
         return (_K_POP, r[0], 0, 0, 0)
-    if op == Op.IMUL_RR:
-        return (_K_IMUL_RR, r[0], r[1], 0, 0)
+    if op == Op.STORE:
+        return (_K_STORE, r[0], insn.disp, r[1], 0)
     if op == Op.IMUL_RI:
         return (_K_IMUL_RI, r[0], insn.imm, 0, 0)
-    if op == Op.AND_RR:
-        return (_K_AND_RR, r[0], r[1], 0, 0)
+    if op == Op.SAR_RI:
+        return (_K_SAR_RI, r[0], insn.imm, 0, 0)
+    if op == Op.IMOD_RR:
+        return (_K_IMOD, r[0], r[1], 0, 0)
+    if op == Op.IDIV_RR:
+        return (_K_IDIV, r[0], r[1], 0, 0)
+    if op == Op.LOAD:
+        return (_K_LOAD, r[0], r[1], insn.disp, 0)
+    if op == Op.CMP_RI:
+        return (_K_CMP_RI, r[0], insn.imm, 0, 0)
     if op == Op.AND_RI:
         return (_K_AND_RI, r[0], insn.imm, 0, 0)
-    if op == Op.OR_RR:
-        return (_K_OR_RR, r[0], r[1], 0, 0)
-    if op == Op.OR_RI:
-        return (_K_OR_RI, r[0], insn.imm, 0, 0)
+    if op == Op.LOADIDX:
+        return (_K_LOADIDX, r[0], r[1], r[2], insn.disp)
+    if op == Op.LOAD_ABS:
+        return (_K_LOAD_ABS, r[0], insn.addr, 0, 0)
+    if op == Op.SUB_RI:
+        return (_K_SUB_RI, r[0], insn.imm, 0, 0)
+    if op == Op.ADD_RI:
+        return (_K_ADD_RI, r[0], insn.imm, 0, 0)
+    if op == Op.SUB_RR:
+        return (_K_SUB_RR, r[0], r[1], 0, 0)
     if op == Op.XOR_RR:
         return (_K_XOR_RR, r[0], r[1], 0, 0)
     if op == Op.XOR_RI:
         return (_K_XOR_RI, r[0], insn.imm, 0, 0)
+    if op == Op.STOREIDX:
+        return (_K_STOREIDX, r[0], r[1], insn.disp, r[2])
+    if op == Op.CMP_RR:
+        return (_K_CMP_RR, r[0], r[1], 0, 0)
+    if op == Op.LEA:
+        return (_K_LEA, r[0], r[1], insn.disp, 0)
+    if op == Op.AND_RR:
+        return (_K_AND_RR, r[0], r[1], 0, 0)
+    if op == Op.STORE_ABS:
+        return (_K_STORE_ABS, insn.addr, r[0], 0, 0)
+    if op == Op.IMUL_RR:
+        return (_K_IMUL_RR, r[0], r[1], 0, 0)
+    if op == Op.OR_RR:
+        return (_K_OR_RR, r[0], r[1], 0, 0)
+    if op == Op.OR_RI:
+        return (_K_OR_RI, r[0], insn.imm, 0, 0)
     if op == Op.SHL_RI:
         return (_K_SHL_RI, r[0], insn.imm, 0, 0)
     if op == Op.SHR_RI:
         return (_K_SHR_RI, r[0], insn.imm, 0, 0)
-    if op == Op.SAR_RI:
-        return (_K_SAR_RI, r[0], insn.imm, 0, 0)
     if op == Op.SHL_RR:
         return (_K_SHL_RR, r[0], r[1], 0, 0)
     if op == Op.SHR_RR:
@@ -877,20 +942,12 @@ def _prep_straight(op, insn):
         return (_K_SAR_RR, r[0], r[1], 0, 0)
     if op == Op.NEG:
         return (_K_NEG, r[0], 0, 0, 0)
-    if op == Op.IDIV_RR:
-        return (_K_IDIV, r[0], r[1], 0, 0)
-    if op == Op.IMOD_RR:
-        return (_K_IMOD, r[0], r[1], 0, 0)
     if op == Op.TEST_RR:
         return (_K_TEST_RR, r[0], r[1], 0, 0)
     if op == Op.TEST_RI:
         return (_K_TEST_RI, r[0], insn.imm, 0, 0)
     if op == Op.SETCC:
         return (_K_SETCC, r[0], insn.imm, 0, 0)
-    if op == Op.LOAD_ABS:
-        return (_K_LOAD_ABS, r[0], insn.addr, 0, 0)
-    if op == Op.STORE_ABS:
-        return (_K_STORE_ABS, insn.addr, r[0], 0, 0)
     if op == Op.OUT:
         return (_K_OUT, r[0], 0, 0, 0)
     if op == Op.NOP or op == Op.NOPN:

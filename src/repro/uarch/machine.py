@@ -1,5 +1,6 @@
-"""Memory, loader and process state."""
+"""Memory, loader and process state, plus the primitives both engines share."""
 
+import struct
 from bisect import bisect_right
 
 from repro.belf import SectionType, STACK_TOP
@@ -11,10 +12,25 @@ _PAGE_BITS = 12
 _PAGE_SIZE = 1 << _PAGE_BITS
 _PAGE_MASK = _PAGE_SIZE - 1
 
+_MASK = (1 << 64) - 1
+
+_load_word = struct.Struct("<q").unpack_from
+_store_word = struct.Struct("<Q").pack_into
+
+
+def _wrap(value):
+    """Wrap an integer to signed 64 bits."""
+    value &= _MASK
+    return value - (1 << 64) if value >= 1 << 63 else value
+
 
 class MachineFault(Exception):
     """Hardware-level fault (bad memory access, division by zero,
     invalid opcode, uncaught exception)."""
+
+
+class ExecutionLimitExceeded(Exception):
+    """The instruction budget ran out (likely an infinite loop)."""
 
 
 class Memory:
@@ -72,14 +88,14 @@ class Memory:
             page = self.pages.get(addr >> _PAGE_BITS)
             if page is None:
                 return 0
-            return int.from_bytes(page[offset : offset + 8], "little", signed=True)
+            return _load_word(page, offset)[0]
         return int.from_bytes(self.read_bytes(addr, 8), "little", signed=True)
 
     def write_word(self, addr, value):
-        value &= (1 << 64) - 1
+        value &= _MASK
         offset = addr & _PAGE_MASK
         if offset <= _PAGE_SIZE - 8:
-            self._page(addr >> _PAGE_BITS)[offset : offset + 8] = value.to_bytes(8, "little")
+            _store_word(self._page(addr >> _PAGE_BITS), offset, value)
         else:
             self.write_bytes(addr, value.to_bytes(8, "little"))
 
