@@ -30,6 +30,7 @@ from repro.core import BoltOptions
 from repro.harness import build_workload, measure, run_bolt, sample_profile
 from repro.harness.metrics import simulated_mips
 from repro.profiling import SamplingConfig
+from repro.uarch import UarchConfig
 
 pytestmark = pytest.mark.perf
 
@@ -51,9 +52,10 @@ def _record(section, payload):
 def _timed_run(built, engine, sampling=None):
     t0 = time.perf_counter()
     if sampling is None:
-        cpu = measure(built, engine=engine)
+        cpu = measure(built, config=UarchConfig(engine=engine))
     else:
-        _, cpu = sample_profile(built, sampling=sampling, engine=engine)
+        _, cpu = sample_profile(built, sampling=sampling,
+                                config=UarchConfig(engine=engine))
     wall = time.perf_counter() - t0
     return cpu, wall
 
@@ -107,11 +109,12 @@ def test_end_to_end_experiment_wall():
 
     def leg(engine):
         t0 = time.perf_counter()
-        baseline = measure(built, fetch_heat=True, engine=engine)
-        profile, _ = sample_profile(built, engine=engine)
+        config = UarchConfig(engine=engine)
+        baseline = measure(built, fetch_heat=True, config=config)
+        profile, _ = sample_profile(built, config=config)
         result = run_bolt(built, profile, BoltOptions())
         optimized = measure(result.binary, inputs=workload.inputs,
-                            fetch_heat=True, engine=engine)
+                            fetch_heat=True, config=config)
         wall = time.perf_counter() - t0
         assert optimized.output == baseline.output
         return baseline, optimized, wall

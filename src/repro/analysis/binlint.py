@@ -14,25 +14,89 @@ Three tiers, cheapest first:
 3. **IR checkers**: CFGs are reconstructed and every function that
    builds as *simple* runs the :mod:`repro.analysis.checkers` suite.
 
-``lint_binary`` is pure (never mutates its input) and is what both the
-``lint`` CLI subcommand and the ``--validate static`` gate call.
+``lint_binary`` is pure (never mutates its input).  It backs the
+``lint`` CLI subcommand, the static tier's check of the input, and the
+post-rewrite validation gate, whose tiers are rule sets
+(:data:`repro.analysis.rules.TIERS`).
 """
 
 from repro.analysis.checkers import check_function
-from repro.analysis.rules import Finding, LintReport, parse_suppressions
+from repro.analysis.rules import (
+    RULES,
+    STRUCTURAL,
+    Finding,
+    LintReport,
+    parse_suppressions,
+)
 from repro.belf import SymbolType
+from repro.core.emitter import COLD_SUFFIX
 from repro.isa.decoding import DecodeError, decode
+from repro.linker import BUILTINS
 
 #: Symbols the rewriter may legitimately reference without defining.
 _KNOWN_EXTERNAL = ("__abs__",)
 
 
-def lint_binary(binary, options=None, suppress=()):
-    """Lint one binary; returns a :class:`LintReport`."""
-    report = LintReport(suppressions=parse_suppressions(suppress))
-    _lint_metadata(binary, report)
-    _lint_functions(binary, options, report)
+def lint_binary(binary, options=None, suppress=(), rules=None,
+                baseline=None):
+    """Lint one binary; returns a :class:`LintReport`.
+
+    ``rules`` selects the rule IDs to report (default: all of them); an
+    IR checker that can report none of them is not run.
+
+    ``baseline`` is the rewrite context that produced ``binary``.  With
+    it the lint is the post-rewrite validation gate: the output is held
+    only to what the input already satisfied (see :func:`_held_by`), and
+    no suppression lifts a :data:`~repro.analysis.rules.STRUCTURAL`
+    finding.
+    """
+    rules = RULES.keys() if rules is None else rules
+    report = LintReport(suppressions=parse_suppressions(suppress),
+                        pinned=STRUCTURAL if baseline is not None
+                        else frozenset())
+    held = _held_by(baseline) if baseline is not None else None
+    _lint_metadata(binary, report, rules, held)
+    if any(rule.startswith("BL0") for rule in rules):
+        _lint_functions(binary, options, report, rules)
     return report
+
+
+def _held_by(context):
+    """What a rewrite's input already satisfied, read off its context.
+
+    Returns ``held(finding, whole)``: whether a finding on the output
+    stands (a ``.cold.0`` fragment counts as its parent function);
+    ``whole`` says the output body decoded whole, so a BL105 finding is
+    about its missing terminator.  BL103 stands unless the input's own
+    symbol already escaped its section.  BL102/BL105 stand if the
+    function's input body (its ``raw_bytes``, decoded only on this
+    failure path) was clean, or decoded whole while the output body
+    does not.  Every other rule always stands.
+    """
+    binary = context.binary
+    unbounded = set()
+    for sym in _func_symbols(binary):
+        section = binary.section_at(sym.value)
+        if (section is None or not section.is_exec
+                or sym.value + sym.size > section.end):
+            unbounded.add(sym.link_name())
+
+    def held(finding, whole):
+        if finding.rule not in ("BL102", "BL103", "BL105"):
+            return True
+        name = finding.function
+        if name.endswith(COLD_SUFFIX):
+            name = name[:-len(COLD_SUFFIX)]
+        if finding.rule == "BL103":
+            return name not in unbounded
+        func = context.functions.get(name)
+        if func is None:
+            return False
+        found, whole_in = _lint_body(func.raw_bytes, 0, len(func.raw_bytes),
+                                     func.address, name)
+        return found is None or (whole_in and not whole)
+
+    return held
 
 
 # ---------------------------------------------------------------------------
@@ -46,11 +110,17 @@ def _func_symbols(binary):
                   key=lambda s: (s.value, s.size))
 
 
-def _lint_metadata(binary, report):
-    if binary.entry:
+def _lint_metadata(binary, report, rules, held):
+    def add(finding, whole=True):
+        if finding.rule in rules and (held is None or held(finding, whole)):
+            report.add(finding)
+
+    # A gated output must have an entry point; a plain lint lets a
+    # binary without one (entry 0) pass.
+    if binary.entry or held is not None:
         section = binary.section_at(binary.entry)
         if section is None or not section.is_exec:
-            report.add(Finding(
+            add(Finding(
                 "BL101",
                 f"entry point {binary.entry:#x} is not in an "
                 f"executable section",
@@ -63,7 +133,7 @@ def _lint_metadata(binary, report):
         if prev.value == cur.value and prev.size == cur.size:
             continue
         if prev.value + prev.size > cur.value:
-            report.add(Finding(
+            add(Finding(
                 "BL104",
                 f"overlaps {cur.link_name()} "
                 f"([{prev.value:#x}, {prev.value + prev.size:#x}) vs "
@@ -76,14 +146,14 @@ def _lint_metadata(binary, report):
         name = sym.link_name()
         section = binary.section_at(sym.value)
         if section is None or not section.is_exec:
-            report.add(Finding(
+            add(Finding(
                 "BL103",
                 f"starts at {sym.value:#x}, outside every executable "
                 f"section (truncated or mislaid section?)",
                 function=name, address=sym.value))
             continue
         if sym.value + sym.size > section.end:
-            report.add(Finding(
+            add(Finding(
                 "BL103",
                 f"[{sym.value:#x}, {sym.value + sym.size:#x}) runs "
                 f"past the end of {section.name} ({section.end:#x})",
@@ -93,20 +163,20 @@ def _lint_metadata(binary, report):
         if span in seen_ranges:
             continue  # exact alias: lint the bytes once
         seen_ranges.add(span)
-        _lint_body(section, sym, name, report)
+        start = sym.value - section.addr
+        finding, whole = _lint_body(section.data, start, start + sym.size,
+                                    sym.value, name)
+        if finding is not None:
+            add(finding, whole)
 
     # Dangling relocations.
     known = {s.link_name() for s in binary.symbols}
     known.update(_KNOWN_EXTERNAL)
-    try:
-        from repro.linker import BUILTINS
-        known.update(BUILTINS)
-    except ImportError:  # pragma: no cover - linker always present
-        pass
+    known.update(BUILTINS)
     for reloc in binary.relocations:
         if reloc.symbol in known:
             continue
-        report.add(Finding(
+        add(Finding(
             "BL106",
             f"relocation at {reloc.section}+{reloc.offset:#x} names "
             f"undefined symbol {reloc.symbol!r}",
@@ -124,39 +194,40 @@ def _owner_of(binary, reloc):
     return None
 
 
-def _lint_body(section, sym, name, report):
-    """Decode one function body; BL102 vs BL105 classification."""
-    start = sym.value - section.addr
-    end = start + sym.size
+def _lint_body(data, start, end, address, name):
+    """Decode the body ``data[start:end]`` loaded at ``address``.
+
+    Returns ``(finding, whole)``: its BL102 or BL105 finding (or None),
+    and whether every byte decoded with no instruction straddling
+    ``end``.
+    """
     offset = start
     last = None
     while offset < end:
         try:
-            insn = decode(section.data, offset,
-                          sym.value + (offset - start))
+            insn = decode(data, offset, address + (offset - start))
         except DecodeError as exc:
-            report.add(Finding(
+            return Finding(
                 "BL102", f"body does not decode: {exc}",
-                function=name, address=sym.value + (offset - start)))
-            return
+                function=name, address=address + (offset - start)), False
         if offset + insn.size > end:
-            report.add(Finding(
+            return Finding(
                 "BL105",
                 f"instruction at {insn.address:#x} straddles the "
-                f"symbol's end ({sym.value + sym.size:#x}): symbol "
-                f"size {sym.size} cuts the body mid-instruction",
-                function=name, address=insn.address))
-            return
+                f"symbol's end ({address + end - start:#x}): symbol "
+                f"size {end - start} cuts the body mid-instruction",
+                function=name, address=insn.address), False
         if not insn.is_nop:
             last = insn
         offset += insn.size
     if last is None or not last.is_terminator:
         what = last.mnemonic() if last is not None else "padding"
-        report.add(Finding(
+        return Finding(
             "BL105",
             f"body ends in {what} instead of a terminator: control "
             f"falls off the symbol's end (wrong symbol size?)",
-            function=name, address=sym.value + sym.size))
+            function=name, address=address + end - start), True
+    return None, True
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +235,7 @@ def _lint_body(section, sym, name, report):
 # ---------------------------------------------------------------------------
 
 
-def _lint_functions(binary, options, report):
+def _lint_functions(binary, options, report, rules):
     from repro.core.binary_context import BinaryContext
     from repro.core.cfg_builder import build_all_functions
     from repro.core.discovery import discover_functions
@@ -178,12 +249,13 @@ def _lint_functions(binary, options, report):
         discover_functions(context)
         build_all_functions(context)
     except Exception as exc:
+        # Reported whatever the rule selection: nothing could be checked.
         report.add(Finding(
             "BL102",
             f"CFG reconstruction failed: {type(exc).__name__}: {exc}"))
         return
     for func in context.simple_functions():
-        report.extend(check_function(func))
+        report.extend(check_function(func, rules))
 
 
 # ---------------------------------------------------------------------------

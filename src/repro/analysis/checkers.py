@@ -41,25 +41,34 @@ def _is_cold_fragment(func):
     return func.name.endswith(COLD_SUFFIX)
 
 
-def check_function(func):
-    """Run every IR checker; returns a list of Findings."""
+def check_function(func, rules=None):
+    """Run the IR checkers; returns a list of Findings.
+
+    ``rules`` selects rule IDs (default: all); a checker that can report
+    none of them is not run.
+    """
     if not func.is_simple or not func.blocks:
         return []
-    # Each instruction's register defs, computed once and shared by the
-    # dataflow checkers (BL001-BL003).
-    defs = {label: [insn_uses_defs(insn)[1] for insn in block.insns]
-            for label, block in func.blocks.items()}
+    defs = None
     findings = []
-    for checker in (_check_structure, _check_unreachable,
-                    _check_fallthrough, _check_jump_tables,
-                    partial(_check_stack_height, defs=defs),
-                    partial(_check_callee_saved, defs=defs),
-                    partial(_check_flags, defs=defs), _check_pass_facts):
+    for checker, reports, dataflow in _CHECKERS:
+        if rules is not None and reports.isdisjoint(rules):
+            continue
+        if dataflow:
+            if defs is None:
+                # Each instruction's register defs, computed once and
+                # shared by the dataflow checkers (BL001-BL003).
+                defs = {label: [insn_uses_defs(insn)[1]
+                                for insn in block.insns]
+                        for label, block in func.blocks.items()}
+            checker = partial(checker, defs=defs)
         try:
-            findings.extend(checker(func))
+            found = checker(func)
         except AnalysisError:
             # Conservative: a non-converging analysis proves nothing.
             continue
+        findings.extend(found if rules is None
+                        else [f for f in found if f.rule in rules])
     return findings
 
 
@@ -498,3 +507,17 @@ def _check_flags(func, defs):
                 break  # one report per block is plenty
             state = _flags_step(insn, insn_defs, state)
     return findings
+
+
+#: (checker, rule IDs it can report, takes the shared ``defs``), in
+#: reporting order.
+_CHECKERS = (
+    (_check_structure, frozenset({"BL007"}), False),
+    (_check_unreachable, frozenset({"BL004"}), False),
+    (_check_fallthrough, frozenset({"BL005"}), False),
+    (_check_jump_tables, frozenset({"BL006"}), False),
+    (_check_stack_height, frozenset({"BL001"}), True),
+    (_check_callee_saved, frozenset({"BL002"}), True),
+    (_check_flags, frozenset({"BL003"}), True),
+    (_check_pass_facts, frozenset({"BL002", "BL007"}), False),
+)

@@ -12,7 +12,8 @@ classes of problems:
 Severities reuse :class:`repro.core.diagnostics.Severity`, so findings
 render as the familiar ``BOLT-WARNING:``/``BOLT-ERROR:`` lines and the
 rewriter's post-pass gate can feed them straight into the PR 1
-containment machinery.
+containment machinery.  The post-rewrite validation gate's tiers are
+rule sets of this registry (:data:`TIERS`).
 """
 
 import json
@@ -86,6 +87,21 @@ RULES = {r.id: r for r in [
          "a basic block present in the IR was not emitted"),
 ]}
 
+#: What every rewrite must satisfy: an entry point in executable bytes,
+#: decodable function bodies of the right size inside their sections,
+#: and sound CFGs when the output is rebuilt.  The validation gate never
+#: lets a suppression lift one of these.
+STRUCTURAL = frozenset({"BL101", "BL102", "BL103", "BL105", "BL007"})
+
+#: The post-rewrite validation gate's tiers (``--validate``), each a rule
+#: set.  ``static`` is every lint rule plus the BL2xx translation
+#: validator; ``execute`` adds a smoke run to it.
+TIERS = {
+    "structural": STRUCTURAL,
+    "static": frozenset(RULES),
+    "execute": frozenset(RULES),
+}
+
 
 class Finding:
     """One lint finding, attributed to a stable rule ID."""
@@ -154,16 +170,18 @@ def parse_suppressions(spec):
 class LintReport:
     """Collected findings with suppression and rendering."""
 
-    def __init__(self, suppressions=()):
+    def __init__(self, suppressions=(), pinned=frozenset()):
         self.suppressions = parse_suppressions(suppressions) \
             if not isinstance(suppressions, frozenset) else suppressions
+        self.pinned = pinned    # rule IDs no suppression lifts
         self.findings = []
         self.suppressed = 0
 
     def add(self, finding):
         """Record one finding unless suppressed; returns True if kept."""
         sup = self.suppressions
-        if ((None, finding.rule) in sup
+        if finding.rule not in self.pinned and (
+                (None, finding.rule) in sup
                 or (finding.function, finding.rule) in sup
                 or (finding.function, "*") in sup):
             self.suppressed += 1
@@ -184,14 +202,8 @@ class LintReport:
         return [f for f in self.findings
                 if f.severity == Severity.WARNING]
 
-    def worst(self):
-        return max((f.severity for f in self.findings), default=None)
-
     def rules_hit(self):
         return sorted({f.rule for f in self.findings})
-
-    def for_function(self, name):
-        return [f for f in self.findings if f.function == name]
 
     def render_lines(self, min_severity=Severity.NOTE):
         return [f.render() for f in self.findings

@@ -31,7 +31,7 @@ from repro.profiling import (
     profile_binary,
     write_fdata,
 )
-from repro.uarch import run_binary
+from repro.uarch import UarchConfig, run_binary
 
 
 def _load_sources(paths):
@@ -63,8 +63,8 @@ def cmd_build(args):
 
 def cmd_run(args):
     exe = read_binary(pathlib.Path(args.binary).read_bytes())
-    cpu = run_binary(exe, max_instructions=args.max_instructions,
-                     engine=args.engine)
+    cpu = run_binary(exe, config=UarchConfig(engine=args.engine),
+                     max_instructions=args.max_instructions)
     for value in cpu.output:
         print(value)
     print(f"exit code: {cpu.exit_code}", file=sys.stderr)
@@ -75,9 +75,9 @@ def cmd_profile(args):
     exe = read_binary(pathlib.Path(args.binary).read_bytes())
     sampling = SamplingConfig(event=args.event, period=args.period,
                               use_lbr=not args.no_lbr)
-    profile, cpu = profile_binary(exe, sampling=sampling,
-                                  max_instructions=args.max_instructions,
-                                  engine=args.engine)
+    profile, cpu = profile_binary(exe, config=UarchConfig(engine=args.engine),
+                                  sampling=sampling,
+                                  max_instructions=args.max_instructions)
     pathlib.Path(args.output).write_text(write_fdata(profile))
     print(f"wrote {args.output}: {len(profile.branches)} branch records, "
           f"{len(profile.ip_samples)} sample sites "
@@ -183,8 +183,8 @@ def cmd_lint(args):
 
 def cmd_stat(args):
     exe = read_binary(pathlib.Path(args.binary).read_bytes())
-    cpu = run_binary(exe, max_instructions=args.max_instructions,
-                     engine=args.engine)
+    cpu = run_binary(exe, config=UarchConfig(engine=args.engine),
+                     max_instructions=args.max_instructions)
     c = cpu.counters
     print(f"{'instructions':24s} {c.instructions:>14,}")
     print(f"{'cycles':24s} {c.cycles:>14,}")
@@ -237,6 +237,12 @@ def cmd_dump(args):
         print()
 
 
+def _add_engine_arg(p):
+    p.add_argument("--engine", choices=["block", "ref"], default="block",
+                   help="execution engine: block (trace-cached, default) "
+                        "or ref (per-instruction oracle)")
+
+
 def make_parser():
     parser = argparse.ArgumentParser(
         prog="repro", description="BOLT-reproduction toolchain")
@@ -256,9 +262,7 @@ def make_parser():
     p = sub.add_parser("run", help="execute a BELF binary")
     p.add_argument("binary")
     p.add_argument("--max-instructions", type=int, default=100_000_000)
-    p.add_argument("--engine", choices=["block", "ref"], default=None,
-                   help="execution engine: block (trace-cached, default) "
-                        "or ref (per-instruction oracle)")
+    _add_engine_arg(p)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("profile", help="sample a run; write .fdata")
@@ -269,9 +273,7 @@ def make_parser():
     p.add_argument("--period", type=int, default=251)
     p.add_argument("--no-lbr", action="store_true")
     p.add_argument("--max-instructions", type=int, default=100_000_000)
-    p.add_argument("--engine", choices=["block", "ref"], default=None,
-                   help="execution engine: block (trace-cached, default) "
-                        "or ref (per-instruction oracle)")
+    _add_engine_arg(p)
     p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser("bolt", help="post-link optimize a binary")
@@ -359,9 +361,7 @@ def make_parser():
     p = sub.add_parser("stat", help="perf-stat analog")
     p.add_argument("binary")
     p.add_argument("--max-instructions", type=int, default=100_000_000)
-    p.add_argument("--engine", choices=["block", "ref"], default=None,
-                   help="execution engine: block (trace-cached, default) "
-                        "or ref (per-instruction oracle)")
+    _add_engine_arg(p)
     p.set_defaults(func=cmd_stat)
 
     p = sub.add_parser("objdump", help="linear disassembly listing")

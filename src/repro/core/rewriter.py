@@ -39,7 +39,7 @@ from repro.core.options import BoltOptions
 from repro.core.passes.base import build_pipeline
 from repro.core.profile_attach import attach_profile
 from repro.core.timing import timing_report_for
-from repro.core.validate import validate_execution, validate_rewrite
+from repro.core.validate import validate_execution
 
 
 class RewriteError(Exception):
@@ -275,20 +275,35 @@ def _lint_gate(context):
 def _gate_problems(binary, result, options):
     """Run the post-rewrite validation gate; returns problem strings.
 
-    Tiers (each level includes the previous ones):
+    The tier (``options.validate_output``) is a rule set from
+    :data:`repro.analysis.rules.TIERS`, checked by one lint of the
+    output held to what the input already satisfied:
 
     * ``structural`` — well-formedness of the emitted binary.
-    * ``static`` — whole-binary lint of the input and output plus
-      translation validation of every emitted function against its
-      optimized IR (rule IDs ``BL1xx``/``BL2xx``/``BL0xx``).
-    * ``execute`` — a smoke run comparing program output.
+    * ``static`` — every lint rule, plus translation validation of
+      every emitted function against its optimized IR (``BL2xx``).
+    * ``execute`` — ``static`` plus a smoke run comparing program output.
     """
+    from repro.analysis import lint_binary, validate_translation
+    from repro.analysis.rules import TIERS
+
     level = options.validate_output
     if level in (None, "none"):
         return []
-    problems = validate_rewrite(result.context, result.binary)
+    problems = [
+        f"output fails {level} lint: {_render_finding(f)}"
+        for f in lint_binary(result.binary, options=options,
+                             suppress=options.lint_suppress,
+                             rules=TIERS[level],
+                             baseline=result.context).errors
+    ]
     if not problems and level in ("static", "execute"):
-        problems = _static_problems(binary, result, options)
+        problems = [
+            f"translation validation: {_render_finding(f)}"
+            for f in validate_translation(
+                result.context, result.binary, result.fragments,
+                skip=set(result.reverted))
+        ]
     if not problems and level == "execute":
         problems = validate_execution(
             binary, result.binary, inputs=options.validate_inputs,
@@ -309,30 +324,6 @@ def _input_lint_problems(binary, options):
     report = lint_binary(binary, options=options,
                          suppress=options.lint_suppress)
     return [_render_finding(f) for f in report.errors]
-
-
-def _static_problems(binary, result, options):
-    """The static-equivalence tier of the validation gate.
-
-    Input trustworthiness is checked once, up front, in
-    :func:`optimize_binary`; here the emitted candidate is linted and
-    matched against the optimized IR.
-    """
-    from repro.analysis import lint_binary, validate_translation
-
-    suppress = options.lint_suppress
-    render = _render_finding
-
-    problems = [f"output fails static lint: {render(f)}"
-                for f in lint_binary(result.binary, options=options,
-                                     suppress=suppress).errors]
-    problems += [
-        f"translation validation: {render(f)}"
-        for f in validate_translation(
-            result.context, result.binary, result.fragments,
-            skip=set(result.reverted))
-    ]
-    return problems
 
 
 def _passthrough_result(binary, profile, options):
@@ -556,9 +547,12 @@ def _rewrite(context, result):
 
     # 11. Entry point.
     entry_sym = context.function_symbol_at(binary.entry)
-    if entry_sym is None:
+    entry_func = (context.functions.get(entry_sym.link_name())
+                  if entry_sym is not None else None)
+    if entry_func is None:
+        # No symbol covers the entry, or its function was never
+        # discovered (its bytes lie outside every executable section).
         raise RewriteError("entry point not inside any function")
-    entry_func = context.functions[entry_sym.link_name()]
     while entry_func.is_folded:
         entry_func = entry_func.folded_into
     out.entry = fragments[entry_func.name].address

@@ -1,18 +1,15 @@
-"""CFG invariant checking and the post-rewrite validation gate.
-
-Two layers:
+"""CFG invariant checking and execution equivalence.
 
 * :func:`validate_function` / :func:`validate_context` check the
   in-memory IR between optimization passes (gated by
   ``BoltOptions.verify_cfg``), so a pass that corrupts the CFG fails
   fast with a precise message instead of producing a subtly-wrong
-  binary.
-* :func:`validate_rewrite` is a pipeline stage: it re-disassembles the
-  *emitted* binary, rebuilds CFGs from the output bytes, and checks
-  that everything the rewrite promised actually holds — before the
-  binary is handed back.  :func:`validate_execution` optionally runs a
-  smoke workload on the rewritten binary and compares program output
-  against the input binary (execution equivalence).
+  binary.  The post-rewrite gate runs the same checks on the CFGs
+  rebuilt from the output bytes, as lint rule ``BL007``.
+* :func:`validate_execution` runs a smoke workload on the rewritten
+  binary and compares program output against the input binary: the
+  gate's ``execute`` tier, on top of the lint tiers of
+  :mod:`repro.analysis` (see ``repro.core.rewriter._gate_problems``).
 
 On gate failure the driver walks a graceful-degradation ladder
 (relocations mode -> in-place mode -> original binary) rather than
@@ -120,113 +117,12 @@ def validate_context(context):
 
 
 # ---------------------------------------------------------------------------
-# Post-rewrite validation gate
+# Execution equivalence (the gate's ``execute`` tier)
 # ---------------------------------------------------------------------------
 
 
-def validate_rewrite(context, out):
-    """Structural checks on an emitted binary; returns problem strings.
-
-    Re-disassembles the output and rebuilds CFGs from the actual bytes
-    the rewrite produced.  Only properties that held for the *input*
-    are demanded of the output (a function that was undecodable going
-    in is allowed to stay undecodable coming out).
-    """
-    from repro.belf import SymbolType
-    from repro.isa import decode_stream
-
-    problems = []
-
-    # 1. Entry point must land inside executable bytes.
-    entry_section = out.section_at(out.entry) if out.entry else None
-    if entry_section is None or not entry_section.is_exec:
-        problems.append(f"entry point {out.entry:#x} not in executable "
-                        f"section")
-
-    # 2. Every function symbol must map into a section that covers it —
-    #    unless it was already broken in the *input* (a corrupt input's
-    #    damage is contained, not repaired).
-    intact_in = set()
-    for sym in context.binary.symbols:
-        if sym.type != SymbolType.FUNC or sym.size == 0:
-            continue
-        section = context.binary.section_at(sym.value)
-        if (section is not None and section.is_exec
-                and sym.value + sym.size <= section.end):
-            intact_in.add(sym.link_name())
-    for sym in out.symbols:
-        if sym.type != SymbolType.FUNC or sym.size == 0:
-            continue
-        name = sym.link_name()
-        base = name[:-len(".cold.0")] if name.endswith(".cold.0") else name
-        if base not in intact_in:
-            continue
-        section = out.get_section(sym.section) if sym.section else None
-        if section is None:
-            problems.append(f"{name}: symbol section "
-                            f"{sym.section!r} missing from output")
-            continue
-        if not (section.contains(sym.value)
-                and sym.value + sym.size <= section.end):
-            problems.append(
-                f"{name}: [{sym.value:#x}, "
-                f"{sym.value + sym.size:#x}) outside section {section.name}")
-
-    # 3. Functions that decoded in the input must decode in the output.
-    decodable_in = {
-        name for name, func in context.functions.items()
-        if func.blocks and not (func.simple_violation or "").startswith(
-            "decode-error")
-    }
-    for sym in out.symbols:
-        if sym.type != SymbolType.FUNC or sym.size == 0:
-            continue
-        name = sym.link_name()
-        base = name[:-len(".cold.0")] if name.endswith(".cold.0") else name
-        if base not in decodable_in:
-            continue
-        section = out.get_section(sym.section) if sym.section else None
-        if section is None or not section.contains(sym.value):
-            continue  # already reported above
-        start = sym.value - section.addr
-        try:
-            decode_stream(section.data, start, start + sym.size,
-                          base_address=sym.value)
-        except Exception as exc:
-            problems.append(f"{name}: emitted code undecodable: {exc}")
-
-    # 4. Rebuild CFGs from the output bytes and re-check IR invariants
-    #    on everything that reconstructs as simple.
-    if not problems:
-        problems.extend(_revalidate_cfgs(context, out))
-    return problems
-
-
-def _revalidate_cfgs(context, out):
-    from repro.core.binary_context import BinaryContext
-    from repro.core.cfg_builder import build_all_functions
-    from repro.core.discovery import discover_functions
-
-    problems = []
-    try:
-        check = BinaryContext(out, context.options.copy(
-            verify_cfg=False, validate_output="none", strict=False))
-        discover_functions(check)
-        build_all_functions(check)
-    except Exception as exc:
-        return [f"output CFG reconstruction failed: "
-                f"{type(exc).__name__}: {exc}"]
-    for func in check.simple_functions():
-        try:
-            validate_function(func)
-        except ValidationError as exc:
-            problems.append(f"output CFG invalid: {exc}")
-    return problems
-
-
 def validate_execution(reference, candidate, inputs=None,
-                       max_instructions=5_000_000, diagnostics=None,
-                       engine=None):
+                       max_instructions=5_000_000, diagnostics=None):
     """Execution equivalence on a smoke workload; returns problems.
 
     Runs both binaries on the uarch simulator with the same inputs and
@@ -240,7 +136,7 @@ def validate_execution(reference, candidate, inputs=None,
 
     try:
         ref = run_binary(reference, inputs=inputs,
-                         max_instructions=max_instructions, engine=engine)
+                         max_instructions=max_instructions)
     except Exception as exc:
         # The input itself does not survive the smoke run, so there is
         # nothing to compare the candidate against.
@@ -253,7 +149,7 @@ def validate_execution(reference, candidate, inputs=None,
         return []
     try:
         cand = run_binary(candidate, inputs=inputs,
-                          max_instructions=max_instructions, engine=engine)
+                          max_instructions=max_instructions)
     except Exception as exc:
         return [f"smoke run failed on rewritten binary: "
                 f"{type(exc).__name__}: {exc}"]

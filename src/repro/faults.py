@@ -244,8 +244,7 @@ def _mid_instruction(profile, fraction, rng):
 # ---------------------------------------------------------------------------
 
 
-def executed_functions(binary, inputs=None, max_instructions=10_000_000,
-                       engine=None):
+def executed_functions(binary, inputs=None, max_instructions=10_000_000):
     """Link names of every function fetched during a run.
 
     Fault-injection tests that want to assert output equivalence pick
@@ -256,8 +255,7 @@ def executed_functions(binary, inputs=None, max_instructions=10_000_000,
     from repro.uarch import run_binary
 
     cpu = run_binary(binary, inputs=inputs,
-                     max_instructions=max_instructions, fetch_heat=True,
-                     engine=engine)
+                     max_instructions=max_instructions, fetch_heat=True)
     mapper = AddressMapper(binary)
     names = set()
     for addr in cpu.fetch_heat:
@@ -267,11 +265,9 @@ def executed_functions(binary, inputs=None, max_instructions=10_000_000,
     return names
 
 
-def unexecuted_functions(binary, inputs=None, max_instructions=10_000_000,
-                         engine=None):
+def unexecuted_functions(binary, inputs=None, max_instructions=10_000_000):
     """FUNC symbols never fetched during a run (safe corruption targets)."""
     hot = executed_functions(binary, inputs=inputs,
-                             max_instructions=max_instructions,
-                             engine=engine)
+                             max_instructions=max_instructions)
     return sorted(s.link_name() for s in binary.functions()
                   if s.size > 0 and s.link_name() not in hot)

@@ -25,17 +25,17 @@ from repro.profiling import SamplingConfig
 from repro.workloads import FACEBOOK_NAMES, make_workload
 
 
-def _experiment(workload, built, bolt_options=None, engine=None):
-    baseline = measure(built, fetch_heat=True, engine=engine)
-    profile, _ = sample_profile(built, engine=engine)
+def _experiment(workload, built, bolt_options=None):
+    baseline = measure(built, fetch_heat=True)
+    profile, _ = sample_profile(built)
     result = run_bolt(built, profile, bolt_options or BoltOptions())
     optimized = measure(result.binary, inputs=workload.inputs,
-                        fetch_heat=True, engine=engine)
+                        fetch_heat=True)
     assert optimized.output == baseline.output
     return baseline, optimized, result, profile
 
 
-def figure5(names=FACEBOOK_NAMES, iterations=None, engine=None):
+def figure5(names=FACEBOOK_NAMES, iterations=None):
     """BOLT speedups over the HFSort(+LTO for hhvm) baselines."""
     rows = []
     gains = []
@@ -45,8 +45,7 @@ def figure5(names=FACEBOOK_NAMES, iterations=None, engine=None):
         workload = make_workload(name, **overrides)
         built = build_workload(workload, lto=(name == "hhvm"),
                                hfsort_link="hfsort")
-        baseline, optimized, result, _ = _experiment(workload, built,
-                                                     engine=engine)
+        baseline, optimized, result, _ = _experiment(workload, built)
         gain = speedup(baseline.counters.cycles, optimized.counters.cycles)
         gains.append(gain)
         rows.append((name, baseline.counters.cycles,

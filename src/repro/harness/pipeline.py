@@ -125,22 +125,21 @@ def _label(lto, pgo, autofdo, hfsort_link):
 
 
 def measure(built_or_exe, inputs=None, config=None,
-            max_instructions=DEFAULT_MAX_INSTRUCTIONS, fetch_heat=False,
-            engine=None):
+            max_instructions=DEFAULT_MAX_INSTRUCTIONS, fetch_heat=False):
     """Run and return the CPU (counters, cycles, output)."""
     exe = built_or_exe.exe if isinstance(built_or_exe, BuiltBinary) else built_or_exe
     if inputs is None and isinstance(built_or_exe, BuiltBinary):
         inputs = built_or_exe.workload.inputs
     return run_binary(exe, inputs=inputs, config=config,
                       max_instructions=max_instructions,
-                      fetch_heat=fetch_heat, engine=engine)
+                      fetch_heat=fetch_heat)
 
 
-def _sample(exe, inputs, sampling, max_instructions, engine=None):
+def _sample(exe, inputs, sampling, max_instructions, config=None):
     sampling = sampling or SamplingConfig(period=251)
     sampler = Sampler(sampling)
-    cpu = run_binary(exe, inputs=inputs, sampler=sampler,
-                     max_instructions=max_instructions, engine=engine)
+    cpu = run_binary(exe, inputs=inputs, config=config, sampler=sampler,
+                     max_instructions=max_instructions)
     mapper = AddressMapper(exe)
     profile = aggregate_samples(sampler.samples, mapper,
                                 event=sampling.event, lbr=sampling.use_lbr,
@@ -149,12 +148,12 @@ def _sample(exe, inputs, sampling, max_instructions, engine=None):
 
 
 def sample_profile(built_or_exe, inputs=None, sampling=None,
-                   max_instructions=DEFAULT_MAX_INSTRUCTIONS, engine=None):
+                   max_instructions=DEFAULT_MAX_INSTRUCTIONS, config=None):
     """Collect a BinaryProfile (the perf + perf2bolt step)."""
     exe = built_or_exe.exe if isinstance(built_or_exe, BuiltBinary) else built_or_exe
     if inputs is None and isinstance(built_or_exe, BuiltBinary):
         inputs = built_or_exe.workload.inputs
-    return _sample(exe, inputs, sampling, max_instructions, engine=engine)
+    return _sample(exe, inputs, sampling, max_instructions, config=config)
 
 
 def _map_to_source(exe, bin_profile):
@@ -237,8 +236,7 @@ _HOST_PERIODS = (251, 257, 263, 269, 271, 277, 281, 283, 293, 307, 311, 313)
 
 def collect_fleet_shards(built_or_exe, hosts=4, sampling=None,
                          vary_inputs=True,
-                         max_instructions=DEFAULT_MAX_INSTRUCTIONS,
-                         engine=None):
+                         max_instructions=DEFAULT_MAX_INSTRUCTIONS):
     """Simulate a fleet: N hosts each sample the same service.
 
     Every host runs the workload under its own sampling period (and,
@@ -265,8 +263,7 @@ def collect_fleet_shards(built_or_exe, hosts=4, sampling=None,
             period=_HOST_PERIODS[host % len(_HOST_PERIODS)],
             skid=base.skid, use_lbr=base.use_lbr)
         inputs = input_pool[host % len(input_pool)]
-        profile, _ = _sample(exe, inputs, config, max_instructions,
-                             engine=engine)
+        profile, _ = _sample(exe, inputs, config, max_instructions)
         shards.append((f"host{host:02d}", write_fdata(profile)))
     return shards
 

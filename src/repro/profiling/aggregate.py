@@ -85,7 +85,7 @@ def aggregate_samples(samples, mapper, event="cycles", lbr=True,
 
 
 def profile_binary(binary, inputs=None, config=None, sampling=None,
-                   max_instructions=50_000_000, engine=None):
+                   max_instructions=50_000_000):
     """Run a binary under the sampler and aggregate the profile.
 
     Returns (BinaryProfile, cpu) — the cpu gives access to true
@@ -96,7 +96,7 @@ def profile_binary(binary, inputs=None, config=None, sampling=None,
     sampling = sampling or SamplingConfig()
     sampler = Sampler(sampling)
     cpu = run_binary(binary, inputs=inputs, config=config, sampler=sampler,
-                     max_instructions=max_instructions, engine=engine)
+                     max_instructions=max_instructions)
     mapper = AddressMapper(binary)
     profile = aggregate_samples(sampler.samples, mapper,
                                 event=sampling.event, lbr=sampling.use_lbr,

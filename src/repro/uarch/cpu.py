@@ -980,36 +980,32 @@ def _prep_term(op, insn, pc, npc, fev):
     return (_T_UNKNOWN, op, 0, pc, npc, fev)
 
 
-def CPU(machine, config=None, sampler=None, engine=None):
+def CPU(machine, config=None, sampler=None):
     """Build a CPU for ``machine`` using the selected execution engine.
 
-    ``engine`` (or ``config.engine`` when None) chooses between the
-    block-cached engine (``"block"``, default) and the preserved
-    per-instruction reference interpreter (``"ref"``).  Both produce
-    bit-identical architectural and microarchitectural results.
+    ``config.engine`` chooses between the block-cached engine
+    (``"block"``, default) and the preserved per-instruction reference
+    interpreter (``"ref"``).  Both produce bit-identical architectural
+    and microarchitectural results.
     """
     cfg = config or UarchConfig()
-    eng = engine or cfg.engine
-    if eng == "ref":
+    if cfg.engine == "ref":
         return ReferenceCPU(machine, config=cfg, sampler=sampler)
-    if eng != "block":
-        raise ValueError(f"unknown execution engine {eng!r}")
     return BlockCPU(machine, config=cfg, sampler=sampler)
 
 
 def run_binary(binary, *, inputs=None, config=None, sampler=None,
-               max_instructions=50_000_000, fetch_heat=False, engine=None):
+               max_instructions=50_000_000, fetch_heat=False):
     """Convenience: load, optionally poke input arrays, run.
 
     ``inputs``: {array link name: [values]} written before execution.
-    ``engine``: "block" | "ref" | None (use ``config.engine``).
     Returns the CPU (with counters, output, exit code).
     """
     machine = Machine(binary)
     if inputs:
         for link_name, values in inputs.items():
             machine.poke_array(link_name, values)
-    cpu = CPU(machine, config=config, sampler=sampler, engine=engine)
+    cpu = CPU(machine, config=config, sampler=sampler)
     if fetch_heat:
         cpu.fetch_heat = {}
     cpu.run(max_instructions)

@@ -38,7 +38,7 @@ from repro.isa import (
     instruction_size,
 )
 from repro.profiling import Sampler, SamplingConfig
-from repro.uarch import Machine, MachineFault
+from repro.uarch import Machine, MachineFault, UarchConfig
 from repro.uarch.cpu import CPU, ExecutionLimitExceeded
 
 pytestmark = pytest.mark.perf
@@ -106,7 +106,7 @@ def _outcome(exe, engine, sampling=None, inputs=None,
         for name, values in inputs.items():
             machine.poke_array(name, values)
     sampler = Sampler(sampling) if sampling is not None else None
-    cpu = CPU(machine, sampler=sampler, engine=engine)
+    cpu = CPU(machine, config=UarchConfig(engine=engine), sampler=sampler)
     if fetch_heat:
         cpu.fetch_heat = {}
     error = None
@@ -353,7 +353,7 @@ def test_self_modifying_code_invalidates(sampling_name):
 def test_code_write_marks_machine_dirty():
     exe = _patching_program(patch_word=0)
     machine = Machine(exe)
-    cpu = CPU(machine, engine="block")
+    cpu = CPU(machine, config=UarchConfig(engine="block"))
     cpu.run(200_000)
     assert machine.code_dirty is True
 

@@ -8,6 +8,7 @@ import pytest
 
 from repro.core import BoltOptions, StrictModeError, optimize_binary
 from repro.faults import (
+    BAD_OPCODE,
     BINARY_FAULTS,
     PROFILE_FAULTS,
     inject_binary_fault,
@@ -143,6 +144,120 @@ def test_truncated_section_contained(rig):
     assert all(name in demoted or name in missing for name in affected), (
         f"truncated functions not conservatively skipped: "
         f"{[n for n in affected if n not in demoted | missing]}")
+    # The entry lies past the cut: a clean rewrite error, not a crash.
+    assert not any("KeyError" in d.message for d in result.diagnostics)
+
+
+#: The validation gate's decision and the shipped binary's build id for
+#: each binary fault class, per tier.  The structural tier holds the
+#: output only to what the input satisfied, so a contained corruption
+#: ships (in place when an undecodable body cannot be relocated); the
+#: static tier lints the input first and returns every corrupted input
+#: unchanged.
+TIER_DECISIONS = {
+    ("garbage-text", "structural"): ("in-place", "7683d025f286a245"),
+    ("truncate-section", "structural"): ("passthrough", "5a297cbd2d0c3e2a"),
+    ("bogus-reloc", "structural"): (None, "e4db0414e0c72fd2"),
+    ("wrong-symbol-size", "structural"): ("in-place", "7577f1b7bc690a8f"),
+    ("garbage-text", "static"): ("passthrough", "a0be46c3b15951e4"),
+    ("truncate-section", "static"): ("passthrough", "5a297cbd2d0c3e2a"),
+    ("bogus-reloc", "static"): ("passthrough", "c7d96e50f417f87f"),
+    ("wrong-symbol-size", "static"): ("passthrough", "cc6407037234142e"),
+}
+
+
+@pytest.mark.parametrize("tier", ("structural", "static"))
+@pytest.mark.parametrize("kind", BINARY_FAULTS)
+def test_tier_decision_pinned(rig, kind, tier):
+    targets = _quarter(rig["cold"], rig["exe"])
+    corrupted, _ = inject_binary_fault(rig["exe"], kind, targets=targets)
+    result = optimize_binary(corrupted, rig["profile"],
+                             BoltOptions(validate_output=tier))
+    degraded, build_id = TIER_DECISIONS[kind, tier]
+    assert result.degraded == degraded
+    assert result.binary.content_hash() == build_id
+
+
+# Corruptions of an emitted binary, one per structural rule.
+
+
+def _entry_outside_code(out, result):
+    out.entry = next(s.addr for s in out.sections.values()
+                     if not s.is_exec and s.addr)
+
+
+def _symbol_past_section_end(out, result):
+    sym = next(s for s in out.symbols if s.link_name() == "main")
+    sym.size = out.section_at(sym.value).end - sym.value + 16
+    out.invalidate_symbol_cache()
+
+
+def _garbage_first_instruction(out, result):
+    frag = next(f for f in result.fragments.values()
+                if not f.raw and not f.is_cold)
+    section = out.section_at(frag.address)
+    section.data[frag.address - section.addr] = BAD_OPCODE
+
+
+def _dead_landing_pad(out, result):
+    """Stretch a function over the alignment padding after its last
+    terminator and register a landing pad there: the rebuilt CFG has a
+    landing-pad block nothing reaches."""
+    from repro.belf import CallSiteRecord, FrameRecord, SymbolType
+
+    syms = sorted((s for s in out.symbols
+                   if s.type == SymbolType.FUNC and s.section == ".text"
+                   and s.size > 0), key=lambda s: s.value)
+    sym, nxt = next((s, n) for s, n in zip(syms, syms[1:])
+                    if n.value > s.value + s.size)
+    name = sym.link_name()
+    record = out.frame_records.setdefault(name, FrameRecord(name))
+    record.callsites.append(CallSiteRecord(0, 1, sym.size))
+    sym.size = nxt.value - sym.value
+    out.invalidate_symbol_cache()
+
+
+OUTPUT_CORRUPTIONS = {
+    "BL101": _entry_outside_code,
+    "BL103": _symbol_past_section_end,
+    "BL102": _garbage_first_instruction,
+    "BL007": _dead_landing_pad,
+}
+
+
+@pytest.mark.parametrize("rule, suppress", [
+    *(pytest.param(rule, (), id=rule) for rule in OUTPUT_CORRUPTIONS),
+    *(pytest.param(rule, ("BL102", "BL007"), id=f"{rule}-suppressed")
+      for rule in ("BL102", "BL007")),
+])
+def test_structural_tier_rejects_with_rule_id(rig, monkeypatch, rule,
+                                              suppress):
+    """A corrupt emitted binary fails the default (structural) gate
+    under its rule ID, and the ladder ships the next rung; lint
+    suppressions do not lift a structural finding."""
+    from repro.core import rewriter
+
+    original = rewriter._rewrite
+    attempts = []
+
+    def corrupting(context, result):
+        out = original(context, result)
+        if not attempts:  # only the preferred (relocations) attempt
+            OUTPUT_CORRUPTIONS[rule](out, result)
+        attempts.append(out)
+        return out
+
+    monkeypatch.setattr(rewriter, "_rewrite", corrupting)
+    result = optimize_binary(rig["exe"], rig["profile"],
+                             BoltOptions(lint_suppress=suppress))
+    assert result.degraded == "in-place"
+    rejections = [d.message for d in result.diagnostics.errors
+                  if d.component == "validate"]
+    assert rejections
+    assert all(f": {rule}" in message for message in rejections), rejections
+    cpu = run_binary(result.binary, inputs=rig["workload"].inputs,
+                     max_instructions=MAX_INSNS)
+    assert cpu.output == rig["output"]
 
 
 @pytest.mark.parametrize("kind", PROFILE_FAULTS)

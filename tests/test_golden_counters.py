@@ -83,8 +83,8 @@ def snapshot(preset, config, sampling, engine):
         machine.poke_array(name, values)
     sampling_cfg = SAMPLINGS[sampling]
     sampler = Sampler(sampling_cfg) if sampling_cfg is not None else None
-    cpu = CPU(machine, config=UarchConfig(**CONFIGS[config]),
-              sampler=sampler, engine=engine)
+    cpu = CPU(machine, config=UarchConfig(**CONFIGS[config], engine=engine),
+              sampler=sampler)
     exit_code = cpu.run(5_000_000)
     caches = {"l1i": cpu.l1i, "l1d": cpu.l1d, "llc": cpu.llc}
     if cpu.l2 is not None:
